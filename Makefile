@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-crashsim test-faultsim lint smoke service-smoke service-smoke-workers shard-smoke events-smoke docs-check bench bench-perf bench-perf-smoke bench-service bench-load bench-load-smoke clean-cache
+.PHONY: test test-crashsim test-faultsim lint smoke service-smoke service-smoke-workers service-smoke-pool shard-smoke events-smoke docs-check bench bench-perf bench-perf-smoke bench-service bench-load bench-load-smoke clean-cache
 
 ## Tier-1 test suite.
 test:
@@ -35,6 +35,10 @@ service-smoke:
 ## The same smoke against a 4-worker sharded dispatcher.
 service-smoke-workers:
 	$(PYTHON) scripts/service_smoke.py --workers 4
+
+## The same smoke with every cell on the server's persistent spawn pool.
+service-smoke-pool:
+	$(PYTHON) scripts/service_smoke.py --jobs 2 --job-timeout 120
 
 ## Multi-process shard smoke: two `repro serve --shard` processes over
 ## one --shared-cache-dir, a tiny sweep split across them byte-identical

@@ -21,12 +21,9 @@ core's):
   round trips with ``--job-timeout`` armed (per-cell deadlines, job
   leases, containment bookkeeping), so the report tracks what the
   contained executor costs a healthy workload relative to the
-  uncontained baseline above.  The contained server runs with the
-  persistent warm pool, so this dimension also records what
-  pre-warming buys the contained cold path (pool lifecycle counters
-  included);
-* the **sharded** fan-out runs with the warm pool too — scale-out is
-  where pool-per-batch spin-up used to drown the win;
+  uncontained baseline above.  A deadline puts the server on its
+  persistent worker pool, pre-warmed before the clock starts, so this
+  dimension also records the pool lifecycle counters;
 * **observability overhead** — the same warm sequential round trips
   with zero and with one live SSE subscriber on ``/v1/events``
   (span-stamping is always on), pinning the claim that the live
@@ -84,7 +81,7 @@ def _payload(value: str) -> dict:
 
 
 def _wait_pool_live(service, timeout: float = 60.0) -> None:
-    """Block until the server's eager warm-up finishes.
+    """Block until the server's eager pool warm-up finishes.
 
     Pre-warming is a *startup* cost, not a request cost; measuring a
     cold request while the pool is still spawning would charge warmup
@@ -131,16 +128,14 @@ def bench_cold_sharded(tmp: Path, workers: int) -> dict:
     """The same cold fan-out, sharded across concurrent dispatch workers.
 
     ``max_batch=1`` pins one job per batch so the fan-out exercises
-    ``workers`` truly concurrent batches instead of one fused one.  The
-    server runs with the persistent warm pool (pre-warmed before the
-    clock starts), so no batch pays executor spin-up — the regime the
-    sharded configuration is meant for.
+    ``workers`` truly concurrent batches instead of one fused one.
+    With ``jobs=1`` and no deadline the batches run in-process, the
+    service's default execution path.
     """
     with ServerThread(
         tmp / f"shard{workers}-queue", tmp / f"shard{workers}-cache",
-        workers=workers, max_batch=1, warm_pool=True,
+        workers=workers, max_batch=1,
     ) as service:
-        _wait_pool_live(service)
         started = time.perf_counter()
         with ThreadPoolExecutor(max_workers=len(FANOUT_VALUES)) as pool:
             list(pool.map(
@@ -160,7 +155,6 @@ def bench_cold_sharded(tmp: Path, workers: int) -> dict:
         "fanout_batches": dispatcher["batches"],
         "overlapped_batches": dispatcher["overlapped_batches"],
         "cells_executed": dispatcher["cells_executed"],
-        "warm_pool": stats["workers"]["warm_pool"],
     }
 
 
@@ -203,14 +197,12 @@ def bench_fault_overhead(tmp: Path, requests: int) -> dict:
     ``job_timeout`` switches execution onto the deadline-enforcing
     path (futures with per-cell deadlines, journaled job leases,
     containment counters); on a healthy workload its overhead should be
-    noise, and this dimension keeps that claim measured.  The warm pool
-    is on and pre-warmed before the clock starts: the contained cold
-    path used to pay a full executor spin-up per batch, and this
-    number is what remains of it.
+    noise, and this dimension keeps that claim measured.  The pool is
+    pre-warmed before the clock starts, so the cold number excludes
+    spawn and import.
     """
     with ServerThread(
         tmp / "fault-queue", tmp / "fault-cache", job_timeout=120.0,
-        warm_pool=True,
     ) as service:
         _wait_pool_live(service)
         started = time.perf_counter()
@@ -402,16 +394,14 @@ def main() -> int:
                   f"{cold['fanout_seconds']}s "
                   f"({cold['fanout_batches']} batches)")
         if not args.skip_sharded:
-            print("cold: same fan-out, 4 dispatch workers + warm pool ...",
-                  flush=True)
+            print("cold: same fan-out, 4 dispatch workers ...", flush=True)
             sharded = sections["cold_sharded"] = bench_cold_sharded(
                 tmp_path, workers=4
             )
             print(f"  {sharded['fanout_jobs']} distinct jobs in "
                   f"{sharded['fanout_seconds']}s "
                   f"({sharded['fanout_batches']} batches, "
-                  f"{sharded['overlapped_batches']} overlapped, "
-                  f"{sharded['warm_pool']['reuses']} pool reuses)")
+                  f"{sharded['overlapped_batches']} overlapped)")
         if not args.skip_warm:
             print(f"warm: {args.warm_requests} cache-hit round trips ...",
                   flush=True)
@@ -419,7 +409,7 @@ def main() -> int:
             print(f"  sequential {warm['sequential_rps']} req/s, "
                   f"8-way concurrent {warm['concurrent_rps']} req/s")
         if not args.skip_fault:
-            print("fault overhead: cold + warm, --job-timeout + warm "
+            print("fault overhead: cold + warm, --job-timeout on the "
                   "pool ...", flush=True)
             fault = sections["fault_overhead"] = bench_fault_overhead(
                 tmp_path, args.warm_requests

@@ -51,7 +51,7 @@ DESIGN_REQUIRED = (
     "circuit breaker",
     "graceful drain",
     "/v1/health",
-    # Superinstruction compilation + persistent warm executor pools.
+    # Superinstruction compilation + the one persistent worker pool.
     "superinstruction",
     "fused",
     "per-pc",
@@ -59,6 +59,9 @@ DESIGN_REQUIRED = (
     "SUPERBLOCK_VERSION",
     "warm worker pool",
     "rebuild",
+    "contained executor",
+    "private for bisection",
+    "repro.experiments.pool",
     # Observability: event bus, spans, histograms, SSE backpressure.
     "event bus",
     "span",

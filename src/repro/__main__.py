@@ -43,10 +43,12 @@ import json
 import os
 import sys
 import time
+from contextlib import contextmanager
 
 from repro.experiments import EXPERIMENTS, fig3_characterization
 from repro.experiments.cache import ArtifactCache
 from repro.experiments.export import render_manifest
+from repro.experiments.parallel import CellFailedError
 from repro.experiments.runner import ExperimentContext, ExperimentProfile
 from repro.experiments.sweep import (
     SWEEP_AXES,
@@ -98,10 +100,20 @@ def _check_json_path(parser: argparse.ArgumentParser, path: str) -> None:
         parser.error(f"cannot write --json file: {error}")
 
 
-def _make_context(args) -> ExperimentContext:
+@contextmanager
+def _run_context(args):
+    """The invocation's context.  With ``--jobs N`` > 1 the invocation
+    owns one worker pool for all its experiments and closes it on exit."""
     profile = ExperimentProfile.by_name(args.profile)
     cache = None if args.no_cache else ArtifactCache(args.cache_dir)
-    return ExperimentContext(profile, cache=cache, jobs=args.jobs)
+    if args.jobs == 1:
+        yield ExperimentContext(profile, cache=cache)
+        return
+    from repro.experiments.pool import WarmPool
+
+    factory = cache.factory() if cache is not None else None
+    with WarmPool(args.jobs, factory) as pool:
+        yield ExperimentContext(profile, cache=cache, pool=pool)
 
 
 #: Main-parser long options -> whether they consume the following token.
@@ -223,8 +235,7 @@ def _sweep_main(argv) -> int:
     if args.json:
         _check_json_path(parser, args.json)
 
-    context = _make_context(args)
-    profile = context.profile
+    profile = ExperimentProfile.by_name(args.profile)
     try:
         spec = adhoc_spec(
             args.axis,
@@ -237,13 +248,14 @@ def _sweep_main(argv) -> int:
     except ValueError as error:  # e.g. non-integer --values for regfile
         parser.error(f"--values: {error}")
     started = time.time()
-    try:
-        result = run_sweep(
-            spec, profile, context,
-            title=sweep_title(args.axis, profile),
-        )
-    except ValueError as error:  # e.g. a register count below the minimum
-        parser.error(str(error))
+    with _run_context(args) as context:
+        try:
+            result = run_sweep(
+                spec, profile, context,
+                title=sweep_title(args.axis, profile),
+            )
+        except ValueError as error:  # e.g. a register count below the minimum
+            parser.error(str(error))
     print(result.format_table())
     print(f"[{spec.name}; {time.time() - started:.1f}s]")
     if args.json:
@@ -314,7 +326,9 @@ def _serve_main(argv) -> int:
     )
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per simulation batch (default: 1)",
+        help="worker processes per dispatch worker; above 1, batches "
+             "run on one persistent pool of jobs x workers processes "
+             "(default: 1, in-process)",
     )
     parser.add_argument(
         "--max-batch", type=int, default=8, metavar="N",
@@ -349,27 +363,16 @@ def _serve_main(argv) -> int:
     )
     parser.add_argument(
         "--job-timeout", type=float, default=0, metavar="SECONDS",
-        help="per-cell wall-clock deadline: enables the contained "
-             "executor (killable workers, hang detection, poison-job "
-             "bisection on pool crashes); 0 disables deadline "
-             "enforcement entirely (default: 0)",
+        help="per-cell wall-clock deadline: batches run on the "
+             "worker pool (even with --jobs 1), hung workers are killed "
+             "and their jobs charged, and job leases reclaim lost "
+             "verdicts; 0 disables deadline enforcement (default: 0)",
     )
     parser.add_argument(
         "--drain-grace", type=float, default=30.0, metavar="SECONDS",
         help="on SIGTERM/SIGINT, how long in-flight batches get to "
              "finish before stragglers are demoted back to queued "
              "(default: 30)",
-    )
-    parser.add_argument(
-        "--warm-pool", action="store_true",
-        help="keep a persistent pre-warmed worker pool across batches "
-             "instead of spawning a fresh pool per batch; the pool is "
-             "torn down and rebuilt only after a crash or hang",
-    )
-    parser.add_argument(
-        "--no-superblocks", action="store_true",
-        help="disable superinstruction (fused basic-block) compilation "
-             "in the functional engine; for A/B diagnosis",
     )
     parser.add_argument(
         "--log-json", action="store_true",
@@ -449,12 +452,6 @@ def _serve_main(argv) -> int:
         cache_dir = args.cache_dir + suffix
     if port is None:
         port = 8742
-    if args.no_superblocks:
-        # Inherited by spawned workers (cold and warm pools alike), so
-        # one flag disables fused-block execution service-wide.  Set
-        # before any simulation import can snapshot the gate.
-        os.environ["REPRO_SUPERBLOCKS"] = "0"
-
     from repro.service.server import serve_forever
 
     def announce(server):
@@ -463,6 +460,7 @@ def _serve_main(argv) -> int:
         # the human-readable line moves to stderr.
         stream = sys.stderr if args.log_json else sys.stdout
         print(f"serving on {server.url}", file=stream, flush=True)
+        pool = server.dispatcher.pool
         shard_note = (
             f"shard: {args.shard} "
             f"(shared tier: {args.shared_cache_dir or 'none'}); "
@@ -473,8 +471,7 @@ def _serve_main(argv) -> int:
             f"{shard_note}"
             f"workers: {args.workers}; jobs/batch: {args.jobs}; "
             f"max batch: {args.max_batch}; "
-            f"warm pool: {'on' if args.warm_pool else 'off'}; "
-            f"superblocks: {'off' if args.no_superblocks else 'on'}",
+            f"pool: {pool.max_workers if pool else 'none, in-process'}",
             file=sys.stderr, flush=True,
         )
 
@@ -490,7 +487,6 @@ def _serve_main(argv) -> int:
         max_attempts=args.max_attempts,
         job_timeout=args.job_timeout or None,
         drain_grace=args.drain_grace,
-        warm_pool=args.warm_pool,
         log_json=args.log_json,
         shard=args.shard, peers=peer_urls,
         shared_cache_dir=args.shared_cache_dir,
@@ -946,6 +942,14 @@ _SUBCOMMANDS = {
 
 
 def main(argv=None) -> int:
+    try:
+        return _main(argv)
+    except CellFailedError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
+
+
+def _main(argv) -> int:
     argv = list(sys.argv[1:]) if argv is None else list(argv)
     parser = argparse.ArgumentParser(
         prog="repro",
@@ -999,17 +1003,16 @@ def main(argv=None) -> int:
     if args.json:
         _check_json_path(parser, args.json)
 
-    context = _make_context(args)
-    profile = context.profile
-
     results = {}
-    for name in targets:
-        module, description = EXPERIMENTS[name]
-        started = time.time()
-        result = module.run(profile, context)
-        results[name] = result
-        print(result.format_table())
-        print(f"[{name}: {description}; {time.time() - started:.1f}s]\n")
+    with _run_context(args) as context:
+        profile = context.profile
+        for name in targets:
+            module, description = EXPERIMENTS[name]
+            started = time.time()
+            result = module.run(profile, context)
+            results[name] = result
+            print(result.format_table())
+            print(f"[{name}: {description}; {time.time() - started:.1f}s]\n")
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:

@@ -42,9 +42,9 @@ import tempfile
 import time
 from dataclasses import dataclass
 from enum import Enum
-from functools import lru_cache
+from functools import lru_cache, partial
 from pathlib import Path
-from typing import Any, Dict, Iterator, Optional, Tuple
+from typing import Any, Callable, Dict, Iterator, Optional, Tuple
 
 __all__ = [
     "ArtifactCache",
@@ -212,6 +212,22 @@ class CacheCounters:
     stores: int = 0
     corrupt: int = 0
 
+    @staticmethod
+    def merge(
+        into: Dict[str, "CacheCounters"], source: Dict[str, "CacheCounters"]
+    ) -> None:
+        """Add every per-kind tally of ``source`` onto ``into``.
+
+        ``list()`` materializes ``source`` in one C-level step, so a
+        thread inserting into it concurrently cannot perturb the walk.
+        """
+        for kind, counter in list(source.items()):
+            slot = into.setdefault(kind, CacheCounters())
+            slot.hits += counter.hits
+            slot.misses += counter.misses
+            slot.stores += counter.stores
+            slot.corrupt += counter.corrupt
+
 
 @dataclass(frozen=True)
 class CacheEntry:
@@ -263,6 +279,15 @@ class ArtifactCache:
 
     def _counter(self, kind: str) -> CacheCounters:
         return self.counters.setdefault(kind, CacheCounters())
+
+    def factory(self) -> Callable[[], "ArtifactCache"]:
+        """A picklable callable that opens this store in another process.
+
+        Worker pools hand it to their initializer, so every worker reads
+        and writes the same store, under the same code version, as the
+        process that owns the work.
+        """
+        return partial(ArtifactCache, self.root, version=self.version)
 
     # -- store/lookup ---------------------------------------------------
 
@@ -324,11 +349,23 @@ class ArtifactCache:
         the ``corrupt`` counter, so the next probe misses cleanly and
         the key is recomputed instead of poisoned forever.
         """
+        hit, value = self._read(kind, digest)
+        self._tally(kind, hit)
+        return hit, value
+
+    def _tally(self, kind: str, hit: bool) -> None:
+        counter = self._counter(kind)
+        if hit:
+            counter.hits += 1
+        else:
+            counter.misses += 1
+
+    def _read(self, kind: str, digest: str) -> Tuple[bool, Any]:
+        """:meth:`load_digest` without the hit/miss tally."""
         try:
             with open(self._path(kind, digest), "rb") as handle:
-                value = pickle.load(handle)
+                return True, pickle.load(handle)
         except FileNotFoundError:
-            self._counter(kind).misses += 1
             return False, None
         except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
                 ImportError, IndexError):
@@ -336,10 +373,7 @@ class ArtifactCache:
             # not deliver.  (The unpickler surfaces garbage opcodes as
             # a grab-bag of exception types, not just UnpicklingError.)
             self._heal(kind, digest)
-            self._counter(kind).misses += 1
             return False, None
-        self._counter(kind).hits += 1
-        return True, value
 
     def _heal(self, kind: str, digest: str) -> bool:
         """Unlink an unreadable artifact so its key can recompute.
@@ -381,6 +415,12 @@ class ArtifactCache:
         key tuple to recompute it from.  Same atomicity contract as
         :meth:`store`.
         """
+        self._write(kind, digest, value)
+        self._counter(kind).stores += 1
+        return digest
+
+    def _write(self, kind: str, digest: str, value: Any) -> None:
+        """:meth:`store_digest` without the store tally."""
         path = self._path(kind, digest)
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
@@ -409,8 +449,6 @@ class ArtifactCache:
                 os.unlink(tmp_name)
             except OSError:
                 pass
-        self._counter(kind).stores += 1
-        return digest
 
     # -- inventory and pruning ------------------------------------------
 

@@ -1,38 +1,44 @@
-"""Parallel execution of experiment sweeps.
+"""Execution of experiment sweeps, in-process or on a worker pool.
 
 Every figure's sweep decomposes into independent *cells*: one functional
 or timing simulation of one (workload, DVI configuration, machine
 configuration) point.  Experiment modules enumerate their cells as
 :class:`Job` lists (their ``jobs(profile)`` functions); :func:`execute`
-runs a job list to completion — serially in-process, or fanned out over a
-``multiprocessing`` worker pool when the context's ``jobs`` knob asks for
-parallelism — and merges every result back into the parent
+runs a job list to completion — serially in-process, or on the
+context's persistent worker pool (:mod:`repro.experiments.pool`) when
+its owner created one — and merges every result back into the parent
 :class:`~repro.experiments.runner.ExperimentContext` caches.
 
 Determinism: workers only *compute* cells; the parent merges results in
 job-list order and every experiment assembles its figure from the warmed
 context afterwards, in plain deterministic Python.  A parallel run is
 therefore bit-identical to a serial one (the test suite asserts this),
-and the merge order never depends on worker completion order because
-``Pool.map`` preserves input order.
+and the merge order never depends on worker completion order.
 
-Workers are initialized with the profile and the cache directory, so all
-processes share one content-addressed disk store (writes are atomic; see
-:mod:`repro.experiments.cache`) and a warm cache benefits every worker.
+Workers open the parent's cache configuration (see
+:meth:`~repro.experiments.cache.ArtifactCache.factory`), so all
+processes share one content-addressed disk store (writes are atomic;
+see :mod:`repro.experiments.cache`) and a warm cache benefits every
+worker.
 """
 
 from __future__ import annotations
 
-import multiprocessing
-from dataclasses import dataclass
-from typing import Any, List, Optional, Sequence, Tuple
+from dataclasses import dataclass, field
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 from repro.dvi.config import DVIConfig
-from repro.experiments.cache import ArtifactCache, CacheCounters, fingerprint
-from repro.experiments.runner import ExperimentContext, ExperimentProfile
+from repro.experiments.cache import fingerprint
+from repro.experiments.runner import ExperimentContext
 from repro.sim.config import MachineConfig
 
-__all__ = ["Job", "execute"]
+__all__ = [
+    "CellFailedError",
+    "CellFailure",
+    "ExecuteReport",
+    "Job",
+    "execute",
+]
 
 #: Job kinds, in the order a cell's dependency chain runs them.
 KINDS = ("binary", "functional", "trace", "timed")
@@ -98,7 +104,7 @@ class Job:
 
 
 # ----------------------------------------------------------------------
-# Running one job inside a context (used by both serial and worker paths).
+# Running one job inside a context (used in-process and by pool workers).
 # ----------------------------------------------------------------------
 
 def _run_job(job: Job, context: ExperimentContext) -> Any:
@@ -156,67 +162,81 @@ def _absorb(job: Job, value: Any, context: ExperimentContext) -> None:
 
 
 # ----------------------------------------------------------------------
-# Worker-pool plumbing.  Workers build a private ExperimentContext (with
-# its own ArtifactCache instance aimed at the shared directory) once per
-# process, then execute job after job against it.
-# ----------------------------------------------------------------------
-
-_WORKER_CONTEXT: Optional[ExperimentContext] = None
-
-
-def _worker_init(profile: ExperimentProfile, cache_root: Optional[str]) -> None:
-    global _WORKER_CONTEXT
-    cache = ArtifactCache(cache_root) if cache_root else None
-    _WORKER_CONTEXT = ExperimentContext(profile, cache=cache)
-
-
-def _worker_run(job: Job) -> Tuple[Any, dict]:
-    """Run one job; return its result plus the cache-counter delta.
-
-    Each worker's ArtifactCache keeps its own counters, so the parent
-    would otherwise report a near-idle cache after a parallel run.
-    Counters are drained (returned and reset) per job and merged back by
-    :func:`execute`.
-    """
-    assert _WORKER_CONTEXT is not None, "worker pool not initialized"
-    value = _run_job(job, _WORKER_CONTEXT)
-    deltas = {}
-    if _WORKER_CONTEXT.cache is not None:
-        for kind, counter in _WORKER_CONTEXT.cache.counters.items():
-            deltas[kind] = (counter.hits, counter.misses, counter.stores,
-                            counter.corrupt)
-        _WORKER_CONTEXT.cache.counters.clear()
-    return value, deltas
-
-
-# ----------------------------------------------------------------------
 # The scheduler entry point.
 # ----------------------------------------------------------------------
+
+@dataclass
+class CellFailure:
+    """Why one cell produced no result.
+
+    ``kind`` is ``"timeout"`` (blew the wall-clock deadline),
+    ``"crash"`` (isolated as the cell whose execution kills the worker
+    pool), or ``"error"`` (raised an ordinary exception in a worker —
+    the pool survived).
+    """
+
+    job: Job
+    kind: str
+    detail: str
+
+
+class CellFailedError(RuntimeError):
+    """Cells a caller needs produced no result; the message names them."""
+
+    def __init__(self, failures: List[CellFailure]) -> None:
+        super().__init__("; ".join(
+            f"{failure.job.kind} cell for {failure.job.workload!r} "
+            f"({failure.job.signature()[:12]}) failed: {failure.kind}: "
+            f"{failure.detail}"
+            for failure in failures
+        ))
+        self.failures = failures
+
+
+@dataclass
+class ExecuteReport:
+    """What one :func:`execute` call did."""
+
+    #: Cells that completed and were absorbed into the context.
+    executed: int = 0
+    #: signature -> failure, for every cell that produced no result.
+    failures: Dict[str, CellFailure] = field(default_factory=dict)
+    #: Worker-pool deaths observed (>= 1 means at least one bisection
+    #: round or an isolated poison cell).
+    pool_crashes: int = 0
+    #: Group splits performed while isolating poison cells.
+    bisections: int = 0
+    #: Cells that blew the wall-clock deadline.
+    timeouts: int = 0
+
+    def check(self) -> None:
+        """Raise :class:`CellFailedError` if any cell failed."""
+        if self.failures:
+            raise CellFailedError(list(self.failures.values()))
+
 
 def execute(
     jobs: Sequence[Job],
     context: ExperimentContext,
     *,
-    mp_context=None,
-) -> int:
+    job_timeout: Optional[float] = None,
+    observer: Optional[Callable[[dict], None]] = None,
+) -> ExecuteReport:
     """Run every cell in ``jobs``, warming the context's caches.
 
     Cells already present in the context (in memory) are skipped; the
     remainder is deduplicated by value signature and executed either
-    in-process (``context.jobs == 1``) or on a worker pool of
-    ``context.jobs`` processes.  On return, every cell in ``jobs`` is
-    resident in the context's memo layer, so the calling experiment's
+    in-process (``context.pool`` is ``None``; a raising cell propagates)
+    or on the context's worker pool through the contained executor
+    (:func:`repro.experiments.pool.run_contained`), which reports every
+    cell that hung past ``job_timeout``, crashed its pool, or raised
+    instead of raising itself.  Every other cell is resident in the
+    context's memo layer on return, so the calling experiment's
     assembly phase runs entirely from cache.
 
-    ``mp_context`` selects the multiprocessing start method for the
-    pool.  The default (fork on Linux) is right for the CLI, which
-    forks from a single-threaded parent; the service dispatcher passes
-    a ``spawn`` context because it calls from a worker thread of a
-    process that also runs an asyncio event loop, where forking can
-    inherit held locks.
-
-    Returns the number of cells actually executed (after skip/dedup) —
-    the service dispatcher reports this as its batching effectiveness.
+    ``report.executed`` counts the cells actually executed (after
+    skip/dedup) — the service dispatcher reports it as its batching
+    effectiveness.
     """
     pending: List[Job] = []
     seen = set()
@@ -227,31 +247,14 @@ def execute(
         seen.add(signature)
         pending.append(job)
     if not pending:
-        return 0
-
-    workers = min(context.jobs, len(pending))
-    if workers <= 1:
+        return ExecuteReport()
+    if context.pool is None:
         for job in pending:
             _run_job(job, context)
-        return len(pending)
+        return ExecuteReport(executed=len(pending))
+    # A pool exists only where its creator already imported this module.
+    from repro.experiments.pool import run_contained
 
-    cache_root = str(context.cache.root) if context.cache is not None else None
-    pool_factory = (mp_context or multiprocessing).Pool
-    with pool_factory(
-        processes=workers,
-        initializer=_worker_init,
-        initargs=(context.profile, cache_root),
-    ) as pool:
-        results = pool.map(_worker_run, pending)
-    for job, (value, deltas) in zip(pending, results):
-        _absorb(job, value, context)
-        if context.cache is not None:
-            for kind, (hits, misses, stores, corrupt) in deltas.items():
-                counter = context.cache.counters.setdefault(
-                    kind, CacheCounters()
-                )
-                counter.hits += hits
-                counter.misses += misses
-                counter.stores += stores
-                counter.corrupt += corrupt
-    return len(pending)
+    return run_contained(
+        pending, context, job_timeout=job_timeout, observer=observer
+    )

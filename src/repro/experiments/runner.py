@@ -22,7 +22,9 @@ and across invocations.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import (
+    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+)
 
 from repro.dvi.config import DVIConfig, SRScheme
 from repro.experiments.cache import ArtifactCache, fingerprint
@@ -34,6 +36,9 @@ from repro.sim.ooo.core import simulate
 from repro.sim.ooo.stats import PipelineStats
 from repro.sim.trace import TRACE_FORMAT, Trace
 from repro.workloads.suite import ALL_ORDER, SAVE_RESTORE_ORDER, get_program
+
+if TYPE_CHECKING:
+    from repro.experiments.pool import WarmPool
 
 
 @dataclass(frozen=True)
@@ -101,9 +106,11 @@ class ExperimentContext:
     Two layers: per-process dictionaries (always on), and an optional
     on-disk :class:`~repro.experiments.cache.ArtifactCache` shared by
     every process and every invocation that points at the same directory.
-    ``jobs`` is the parallelism knob the
-    :func:`repro.experiments.parallel.execute` scheduler honors when an
-    experiment hands it a job list.
+    ``pool`` is the :class:`~repro.experiments.pool.WarmPool` the
+    :func:`repro.experiments.parallel.execute` scheduler runs cells on
+    when an experiment hands it a job list; ``None`` runs them in this
+    process.  The context never creates or closes the pool: its owner
+    (the CLI invocation, the service dispatcher) does.
     """
 
     def __init__(
@@ -111,11 +118,11 @@ class ExperimentContext:
         profile: ExperimentProfile,
         *,
         cache: Optional[ArtifactCache] = None,
-        jobs: int = 1,
+        pool: Optional[WarmPool] = None,
     ) -> None:
         self.profile = profile
         self.cache = cache
-        self.jobs = max(1, jobs)
+        self.pool = pool
         self._binaries: Dict[Tuple[str, bool], Program] = {}
         self._traces: Dict[Tuple[str, bool, DVIConfig], Trace] = {}
         self._functional: Dict[tuple, FunctionalResult] = {}
@@ -271,7 +278,7 @@ class ExperimentContext:
         matching what the harness measured before ``timed()`` was
         memoized.
         """
-        view = ExperimentContext(self.profile, cache=self.cache, jobs=self.jobs)
+        view = ExperimentContext(self.profile, cache=self.cache, pool=self.pool)
         view._binaries = self._binaries
         view._traces = self._traces
         view._functional = self._functional

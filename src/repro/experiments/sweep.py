@@ -209,8 +209,12 @@ class SweepSpec:
 
     def execute(self, profile: ExperimentProfile,
                 context: ExperimentContext) -> None:
-        """Run (or replay from cache) every cell into the context."""
-        execute(self.jobs(profile), context)
+        """Run (or replay from cache) every cell into the context.
+
+        Raises :class:`~repro.experiments.parallel.CellFailedError`,
+        naming the cells, if any produced no result on the pool.
+        """
+        execute(self.jobs(profile), context).check()
 
     # -- cell results --------------------------------------------------
 

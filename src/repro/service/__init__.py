@@ -8,10 +8,9 @@ CLI uses:
   queue with atomic state transitions and crash replay;
 * :mod:`repro.service.dispatcher` — request normalization, three-layer
   deduplication (live jobs, stored results, shared cells), fair
-  batching onto the worker pool, bounded retry/quarantine containment;
-* :mod:`repro.service.execution` — the contained executor: per-cell
-  deadlines, killable workers, poison-job bisection on pool crashes,
-  deterministic fault injection for the tests;
+  batching onto the worker pool (:mod:`repro.experiments.pool`, whose
+  contained executor gives per-cell deadlines and poison-job
+  bisection), bounded retry/quarantine containment;
 * :mod:`repro.service.server` — stdlib asyncio HTTP JSON API
   (``POST /v1/jobs``, ``GET /v1/jobs/<id>``, ``GET /v1/results/<key>``,
   ``GET /v1/stats``, ``GET /v1/health``) with graceful SIGTERM drain;

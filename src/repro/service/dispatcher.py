@@ -44,7 +44,6 @@ and the compute core, and is where the service earns its keep:
 from __future__ import annotations
 
 import math
-import multiprocessing
 import threading
 import time
 from dataclasses import dataclass, field
@@ -62,7 +61,6 @@ from repro.experiments.sweep import (
     sweep_title,
 )
 from repro.registry import UnknownComponentError
-from repro.service.execution import WarmPool, execute_contained, warm_execute
 from repro.service.routing import ConsistentHashRing
 from repro.service.tiered import TieredArtifactCache
 from repro.service.queue import (
@@ -421,7 +419,6 @@ class Dispatcher:
         job_timeout: Optional[float] = None,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
-        warm_pool: bool = False,
         cache: Optional[ArtifactCache] = None,
         shard_index: int = 0,
         shard_count: int = 1,
@@ -455,28 +452,27 @@ class Dispatcher:
         self.jobs = max(1, jobs)
         self.max_batch = max(1, max_batch)
         self.workers = max(1, workers)
-        #: Persistent pre-warmed executor pool (None = pool-per-batch).
-        #: Spawned lazily on first use or eagerly via ``warm_up()``;
-        #: torn down and rebuilt on crash/hang, shut down with the
-        #: server.  Sized ``jobs * workers``: every concurrent drain
-        #: slot can fan its batch across ``jobs`` warm processes
-        #: without queueing behind another slot's cells.
-        self.warm_pool: Optional[WarmPool] = (
-            WarmPool(
-                self.jobs * self.workers,
-                cache_root=str(self.cache.root),
-                mp_context=multiprocessing.get_context("spawn"),
-                on_event=self.events.publish,
-            )
-            if warm_pool else None
-        )
         #: Failure containment: how many failed executions a job gets
-        #: before quarantine, and the per-cell wall-clock deadline.
-        #: ``job_timeout`` of ``None``/0 disables deadline enforcement —
-        #: batches run on the legacy fast path (in-process or
-        #: ``multiprocessing.Pool``) with no containment overhead.
+        #: before quarantine, and the per-cell wall-clock deadline
+        #: (``None``/0: no deadline).
         self.max_attempts = max(1, int(max_attempts))
         self.job_timeout = float(job_timeout) if job_timeout else None
+        #: The persistent pre-warmed worker pool cells run on whenever
+        #: ``jobs > 1`` or a deadline is set (``None``: in-process).
+        #: Spawned eagerly via ``warm_up()`` (or on first use), torn
+        #: down and rebuilt on crash/hang, shut down with the server.
+        #: Sized ``jobs * workers``: every concurrent drain slot can fan
+        #: its batch across ``jobs`` warm processes without queueing
+        #: behind another slot's cells.
+        self.pool = None
+        if self.jobs > 1 or self.job_timeout is not None:
+            from repro.experiments.pool import WarmPool
+
+            self.pool = WarmPool(
+                self.jobs * self.workers,
+                self.cache.factory(),
+                on_event=self.events.publish,
+            )
         #: Deadline for in-flight waits on cells another batch owns:
         #: the configured job deadline when one is set, else a generous
         #: constant — either way an expired wait reclaims + recomputes,
@@ -757,7 +753,7 @@ class Dispatcher:
         # exactly the batch's cells and is dropped afterwards, so a
         # long-lived server's footprint is bounded by its largest batch
         # (the shared disk cache keeps cross-batch warmth).
-        context = ExperimentContext(profile, cache=self.cache, jobs=self.jobs)
+        context = ExperimentContext(profile, cache=self.cache, pool=self.pool)
 
         with self._stats_lock:
             if self._active_batches > 0:
@@ -790,7 +786,9 @@ class Dispatcher:
             })
         try:
             with self._counters_lock:
-                self._accumulate_session_counters()
+                # Fold the about-to-be-flushed tallies into the session
+                # totals first.
+                CacheCounters.merge(self._session_counters, self.cache.counters)
                 self.cache.flush_counters()
         except OSError:
             pass  # tallies stay in memory for the next flush attempt
@@ -921,49 +919,24 @@ class Dispatcher:
     ) -> int:
         """Execute one cell list, recording per-cell failures.
 
-        With a job deadline configured, cells run on the contained
-        executor (killable workers, per-cell deadlines, pool-crash
-        bisection); its per-signature failures merge into ``failed``.
-        Without one, the legacy fast path runs — but an execution-level
-        exception now charges every cell instead of permanently failing
-        every co-batched job, so the retry/quarantine policy bounds the
-        damage either way.  Returns cells actually executed.
+        On the pool, cells run under the contained executor (killable
+        workers, optional per-cell deadlines, pool-crash bisection); its
+        per-signature failures merge into ``failed``.  In-process, an
+        exception names no culprit, so it charges every cell one attempt
+        and the retry/quarantine policy bounds the damage.  Returns
+        cells actually executed.
         """
         if not cells:
             return 0
-        # spawn, not fork: this process runs an asyncio thread, and
-        # forking a multi-threaded process can hand children locks held
-        # mid-operation by the event loop.
-        spawn = multiprocessing.get_context("spawn")
         with self._stats_lock:
             self._inflight_cells += len(cells)
         try:
-            if self.job_timeout is not None:
-                report = execute_contained(
+            try:
+                report = execute(
                     cells, context, job_timeout=self.job_timeout,
-                    mp_context=spawn, max_workers=self.jobs,
-                    warm_pool=self.warm_pool,
                     observer=self.events.publish,
                 )
-                for signature, failure in report.failures.items():
-                    failed[signature] = f"{failure.kind}: {failure.detail}"
-                with self._stats_lock:
-                    self.stats.timeouts += report.timeouts
-                    self.stats.bisections += report.bisections
-                    self.stats.pool_crashes += report.pool_crashes
-                if report.executed or report.pool_crashes:
-                    self._breaker_record(crashed=report.pool_crashes > 0)
-                return report.executed
-            try:
-                if self.warm_pool is not None:
-                    executed = warm_execute(cells, context, self.warm_pool)
-                else:
-                    executed = execute(cells, context, mp_context=spawn)
             except Exception as error:
-                # The whole execution died under the batch (the spawn
-                # pool, most likely).  Without deadlines there is no
-                # telling which cell was the culprit, so charge them all
-                # one attempt.
                 self._breaker_record(crashed=True)
                 reason = (
                     f"batch execution failed: {type(error).__name__}: {error}"
@@ -971,8 +944,15 @@ class Dispatcher:
                 for cell in cells:
                     failed.setdefault(cell.signature(), reason)
                 return 0
-            self._breaker_record(crashed=False)
-            return executed
+            for signature, failure in report.failures.items():
+                failed[signature] = f"{failure.kind}: {failure.detail}"
+            with self._stats_lock:
+                self.stats.timeouts += report.timeouts
+                self.stats.bisections += report.bisections
+                self.stats.pool_crashes += report.pool_crashes
+            if report.executed or report.pool_crashes:
+                self._breaker_record(crashed=report.pool_crashes > 0)
+            return report.executed
         finally:
             with self._stats_lock:
                 self._inflight_cells -= len(cells)
@@ -1051,15 +1031,6 @@ class Dispatcher:
         with self._stats_lock:
             return self._active_batches == 0
 
-    def _accumulate_session_counters(self) -> None:
-        """Fold the about-to-be-flushed tallies into the session totals."""
-        for kind, counter in list(self.cache.counters.items()):
-            slot = self._session_counters.setdefault(kind, CacheCounters())
-            slot.hits += counter.hits
-            slot.misses += counter.misses
-            slot.stores += counter.stores
-            slot.corrupt += counter.corrupt
-
     def _finish(self, job: ServiceJob, *, result_key: str = None,
                 error: str = None) -> None:
         """Complete or fail a job, tolerating completion races.
@@ -1086,18 +1057,18 @@ class Dispatcher:
     # -- reporting -------------------------------------------------------
 
     def warm_up(self) -> None:
-        """Eagerly spawn the warm worker pool (no-op when disabled).
+        """Eagerly spawn the worker pool (no-op without one).
 
         Called by the server at startup so the first batch never pays
         interpreter spin-up; safe to call repeatedly.
         """
-        if self.warm_pool is not None:
-            self.warm_pool.ensure()
+        if self.pool is not None:
+            self.pool.ensure()
 
     def shutdown_pool(self) -> None:
-        """Tear down the warm pool (no-op when disabled)."""
-        if self.warm_pool is not None:
-            self.warm_pool.shutdown()
+        """Tear down the worker pool (no-op without one)."""
+        if self.pool is not None:
+            self.pool.shutdown()
 
     def snapshot(self) -> dict:
         """The ``GET /v1/stats`` document (deterministic key order).
@@ -1111,13 +1082,8 @@ class Dispatcher:
         zero it.
         """
         merged: Dict[str, CacheCounters] = {}
-        for source in (self._session_counters, self.cache.counters):
-            for kind, c in list(source.items()):
-                slot = merged.setdefault(kind, CacheCounters())
-                slot.hits += c.hits
-                slot.misses += c.misses
-                slot.stores += c.stores
-                slot.corrupt += c.corrupt
+        CacheCounters.merge(merged, self._session_counters)
+        CacheCounters.merge(merged, self.cache.counters)
         cache_counters = {
             kind: {
                 "hits": c.hits, "misses": c.misses,
@@ -1197,8 +1163,7 @@ class Dispatcher:
                 "busy_seconds": round(self.stats.busy_seconds, 3),
                 "utilization": round(self.stats.utilization(), 4),
                 "warm_pool": (
-                    self.warm_pool.snapshot()
-                    if self.warm_pool is not None else None
+                    self.pool.snapshot() if self.pool is not None else None
                 ),
             },
             "events": events,

@@ -51,12 +51,12 @@ RUNNING job), the journal is compacted, and the process exits 0.
 
 Simulation work never runs on the event loop: ``workers`` dispatcher
 threads drain the queue batch-by-batch (each fanning its batch across
-a multiprocessing pool when ``jobs > 1``), so the API stays responsive
-while heavy sweeps execute — and with more than one worker, the next
-batch is claimed and grouped while the previous one is still
-executing.  :class:`ServerThread` hosts the whole service inside one
-background thread — the harness tests, the smoke script, and the
-benchmark all drive real sockets through it.
+the persistent worker pool when ``jobs > 1`` or a deadline is set), so
+the API stays responsive while heavy sweeps execute — and with more
+than one worker, the next batch is claimed and grouped while the
+previous one is still executing.  :class:`ServerThread` hosts the
+whole service inside one background thread — the harness tests, the
+smoke script, and the benchmark all drive real sockets through it.
 """
 
 from __future__ import annotations
@@ -149,7 +149,6 @@ class ServiceServer:
         drain_grace: float = 30.0,
         breaker_threshold: int = 5,
         breaker_cooldown: float = 30.0,
-        warm_pool: bool = False,
         log_json: bool = False,
         shard: Optional[str] = None,
         peers: Optional[Tuple[str, ...]] = None,
@@ -209,7 +208,6 @@ class ServiceServer:
             max_attempts=max_attempts, job_timeout=job_timeout,
             breaker_threshold=breaker_threshold,
             breaker_cooldown=breaker_cooldown,
-            warm_pool=warm_pool,
             cache=cache,
             shard_index=shard_index, shard_count=shard_count,
             shard_urls=shard_urls,
@@ -252,9 +250,10 @@ class ServiceServer:
         self.events.publish({
             "event": "serving", "url": self.url, "workers": self.workers,
         })
-        # Spawn the warm pool off the event loop so the socket answers
-        # immediately; a batch racing the warm-up just blocks on the
-        # pool lock and inherits the freshly spawned workers.
+        # Spawn the worker pool (if any) off the event loop so the
+        # socket answers immediately; a batch racing the warm-up just
+        # blocks on the pool lock and inherits the freshly spawned
+        # workers.
         loop = asyncio.get_running_loop()
         self._warmup = loop.run_in_executor(None, self.dispatcher.warm_up)
         self._drain_tasks = [
@@ -813,7 +812,6 @@ def serve_forever(
     max_attempts: int = 3,
     job_timeout: Optional[float] = None,
     drain_grace: float = 30.0,
-    warm_pool: bool = False,
     log_json: bool = False,
     shard: Optional[str] = None,
     peers: Optional[Tuple[str, ...]] = None,
@@ -835,8 +833,7 @@ def serve_forever(
         quota=quota, max_queue_depth=max_queue_depth,
         max_body_bytes=max_body_bytes,
         max_attempts=max_attempts, job_timeout=job_timeout,
-        drain_grace=drain_grace, warm_pool=warm_pool,
-        log_json=log_json,
+        drain_grace=drain_grace, log_json=log_json,
         shard=shard, peers=peers, shared_cache_dir=shared_cache_dir,
         peer_timeout=peer_timeout, peer_fetch=peer_fetch,
     )

@@ -46,6 +46,7 @@ from __future__ import annotations
 
 import urllib.request
 from dataclasses import dataclass
+from functools import partial
 from pathlib import Path
 from typing import Any, Callable, Dict, Optional, Sequence, Tuple
 
@@ -165,6 +166,18 @@ class TieredArtifactCache(ArtifactCache):
         self.peer_kinds = frozenset(peer_kinds)
         self._fetch = fetcher
 
+    def factory(self) -> Callable[[], "TieredArtifactCache"]:
+        """The local and shared roots, for worker processes.
+
+        Peers are left out: only ``service`` documents are peer-fetched,
+        and workers never load those.
+        """
+        return partial(
+            TieredArtifactCache, self.root,
+            shared_root=self.shared.root if self.shared is not None else None,
+            version=self.version,
+        )
+
     # -- reads ----------------------------------------------------------
 
     def exists_digest(self, kind: str, digest: str) -> bool:
@@ -200,12 +213,24 @@ class TieredArtifactCache(ArtifactCache):
         """Tier-walking load.  ``allow_peer=False`` restricts the walk
         to the directory tiers — required when the caller *is* the
         ``/v1/results`` handler, i.e. the peer-fetch transport itself
-        (two shards missing one digest must 404, not ping-pong)."""
-        hit, value = super().load_digest(kind, digest)
+        (two shards missing one digest must 404, not ping-pong).
+
+        The per-kind counters tally the walk's outcome — a hit in any
+        tier is one hit, and its promotion is not a store — while the
+        per-tier tallies record where it was found."""
+        hit, value = self._read(kind, digest)
         if hit:
             self.tiers["local"].hits += 1
-            return True, value
-        self.tiers["local"].misses += 1
+        else:
+            self.tiers["local"].misses += 1
+            hit, value = self._load_outer(kind, digest, allow_peer)
+        self._tally(kind, hit)
+        return hit, value
+
+    def _load_outer(
+        self, kind: str, digest: str, allow_peer: bool
+    ) -> Tuple[bool, Any]:
+        """The shared-then-peer half of :meth:`load_digest`."""
         if self.shared is not None:
             hit, value = self.shared.load_digest(kind, digest)
             if hit:
@@ -247,7 +272,7 @@ class TieredArtifactCache(ArtifactCache):
     ) -> None:
         """Copy a slower tier's artifact into the local tier."""
         try:
-            super().store_digest(kind, digest, value)
+            self._write(kind, digest, value)
         except OSError:
             self.tiers["local"].errors += 1
             return

@@ -51,8 +51,8 @@ state is observable through the public API — are bit-identical.
 :data:`SUPERBLOCK_VERSION` is folded into
 :func:`repro.experiments.cache.code_version`, so artifact-cache keys
 change whenever the superblock codegen changes and stale artifacts can
-never be served.  The ``REPRO_SUPERBLOCKS=0`` environment variable (set
-by ``repro serve --no-superblocks``) is the global escape hatch back to
+never be served.  The ``REPRO_SUPERBLOCKS=0`` environment variable
+(inherited by spawned pool workers) is the global escape hatch back to
 pure per-pc dispatch.
 """
 
@@ -76,7 +76,7 @@ SUPERBLOCK_VERSION = 1
 #: Longest straight-line run fused into one function; longer runs chain.
 MAX_BLOCK_LEN = 64
 
-#: Environment escape hatch (``repro serve --no-superblocks`` sets it).
+#: Environment escape hatch (``REPRO_SUPERBLOCKS=0`` disables fusion).
 SUPERBLOCKS_ENV = "REPRO_SUPERBLOCKS"
 
 _MASK32 = 0xFFFF_FFFF

@@ -9,6 +9,9 @@ functional or timing simulation.
 
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -27,6 +30,7 @@ from repro.experiments import (
 from repro.experiments.cache import ArtifactCache, canonical, fingerprint
 from repro.experiments.export import render_manifest, to_jsonable
 from repro.experiments.parallel import Job, execute
+from repro.experiments.pool import WarmPool
 from repro.experiments.runner import ExperimentContext, ExperimentProfile
 from repro.__main__ import main
 from repro.sim.config import MachineConfig
@@ -220,8 +224,11 @@ class TestParallelEqualsSerial:
         ids=["fig3", "fig9"],
     )
     def test_quick_profile_equivalence(self, module):
-        serial = module.run(self.QUICK, ExperimentContext(self.QUICK, jobs=1))
-        parallel = module.run(self.QUICK, ExperimentContext(self.QUICK, jobs=2))
+        serial = module.run(self.QUICK, ExperimentContext(self.QUICK))
+        with WarmPool(2) as pool:
+            parallel = module.run(
+                self.QUICK, ExperimentContext(self.QUICK, pool=pool)
+            )
         assert parallel.format_table() == serial.format_table()
         assert json.dumps(to_jsonable(parallel)) == \
             json.dumps(to_jsonable(serial))
@@ -235,19 +242,21 @@ class TestParallelEqualsSerial:
         assert serial_path.read_bytes() == parallel_path.read_bytes()
 
     def test_execute_merges_worker_results(self):
-        context = ExperimentContext(TINY, jobs=2)
         plan = [
             Job(kind="functional", workload=workload, dvi=DVIConfig.none(),
                 edvi_binary=False)
             for workload in TINY.workloads
         ]
-        execute(plan, context)
+        with WarmPool(2) as pool:
+            context = ExperimentContext(TINY, pool=pool)
+            report = execute(plan, context)
+        assert report.executed == len(plan) and not report.failures
         for workload in TINY.workloads:
             key = (workload, False, DVIConfig.none(), False)
             assert key in context._functional
 
     def test_duplicate_and_satisfied_jobs_are_skipped(self):
-        context = ExperimentContext(TINY, jobs=1)
+        context = ExperimentContext(TINY)
         job = Job(kind="functional", workload="li_like",
                   dvi=DVIConfig.none(), edvi_binary=False)
         execute([job, job], context)
@@ -257,6 +266,22 @@ class TestParallelEqualsSerial:
         assert context.functional(
             "li_like", DVIConfig.none(), edvi_binary=False
         ) is first
+
+
+class TestSerialImportsNoPool:
+    def test_cli_import_loads_no_process_pool(self):
+        """``--jobs 1`` never creates a pool, so importing the CLI must
+        not pay for the process-pool machinery either."""
+        src = Path(__file__).resolve().parents[2] / "src"
+        probe = subprocess.run(
+            [sys.executable, "-c",
+             "import sys, repro.__main__; print(sorted("
+             "{'multiprocessing', 'concurrent.futures.process'}"
+             " & set(sys.modules)))"],
+            env=dict(os.environ, PYTHONPATH=str(src)),
+            capture_output=True, text=True, check=True,
+        )
+        assert probe.stdout.strip() == "[]"
 
 
 class TestWarmCacheRunsNothing:

@@ -16,9 +16,9 @@ contract end to end —
   the identical terminal states.
 
 The injection mechanism mirrors crashsim's failpoint pattern at the
-process boundary: :data:`repro.service.execution.FAULTSIM_ENV` names a
-JSON spec file; every *worker* process (spawned by the contained
-executor) loads it once and consults it before running each cell.
+process boundary: :data:`repro.experiments.pool.FAULTSIM_ENV` names a
+JSON spec file; every *worker* process (spawned by any worker pool)
+loads it once and consults it before running each cell.
 Fires are recorded as one ``O_APPEND`` byte per fire in the spec's
 state directory, so the count survives the worker being killed a
 microsecond later.  With the variable unset — production, and every
@@ -40,7 +40,7 @@ from typing import Dict, Optional
 
 from repro.experiments.runner import ExperimentProfile
 from repro.service.dispatcher import _spec_for, normalize_request
-from repro.service.execution import FAULTSIM_ENV, fault_fires
+from repro.experiments.pool import FAULTSIM_ENV, fault_fires
 
 __all__ = ["FaultPlan", "arm_faults", "kill", "hang", "raise_", "timed_signature"]
 

@@ -11,8 +11,14 @@ suite is seconds, not milliseconds — ``make test-faultsim`` runs it on
 its own, and CI runs it next to ``test-crashsim``.
 """
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+from repro.experiments.cache import ArtifactCache
 from repro.service.client import get_stats, poll_job, submit_job
 from repro.service.queue import JobQueue, JobState
 from repro.service.server import ServerThread
@@ -110,6 +116,61 @@ class TestPoisonKill:
             assert not replayed.running_jobs()
         finally:
             replayed.close()
+
+
+class TestPoisonKillWithoutDeadline:
+    def test_worker_death_ends_in_a_verdict_not_a_hang(self, tmp_path):
+        """A pool worker killed on a ``jobs=2`` server with no
+        ``job_timeout`` (so no lease either) is a pool crash with a
+        verdict: the poison quarantines after its attempts, and its
+        healthy batchmates are done on their first execution with each
+        timed cell stored exactly once."""
+        payloads = [_payload(34 + i) for i in range(4)]
+        poison = payloads[1]
+        plan = arm_faults(tmp_path, {timed_signature(poison): kill()})
+        with plan, ServerThread(
+            tmp_path / "queue", tmp_path / "cache",
+            jobs=2, max_batch=8, max_attempts=2, breaker_threshold=100,
+        ) as service:
+            ids = _submit_all(service, payloads)
+            records = [
+                poll_job(service.url, job_id, timeout=180.0)
+                for job_id in ids
+            ]
+            stats = get_stats(service.url)
+
+        assert [record["state"] for record in records] == [
+            "done", "quarantined", "done", "done",
+        ]
+        assert [record["attempts"] for record in records] == [0, 2, 0, 0]
+        assert "crash" in records[1]["failure_reason"]
+        disk = ArtifactCache(tmp_path / "cache").disk_stats()
+        assert disk["timed"][0] == 3
+        assert stats["containment"]["job_timeout"] is None
+        assert stats["containment"]["quarantined"] == 1
+        assert stats["containment"]["pool_crashes"] >= 2
+
+
+class TestCliPoolKill:
+    def test_cli_exits_nonzero_and_names_the_cell(self, tmp_path):
+        """``repro sweep --jobs 2`` under the same kill fault: the CLI
+        isolates the poison, exits non-zero in bounded time, and names
+        the cell instead of hanging or assembling around it."""
+        poison = _payload(42)
+        plan = arm_faults(tmp_path, {timed_signature(poison): kill()})
+        src = Path(__file__).resolve().parents[2] / "src"
+        env = dict(os.environ, PYTHONPATH=str(src), **plan.env)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "sweep", "--profile", "tiny",
+             "--jobs", "2", "--axis", "regfile", "--values", "34,42",
+             "--workloads", "li_like",
+             "--cache-dir", str(tmp_path / "cache")],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 1
+        assert timed_signature(poison)[:12] in result.stderr
+        assert "li_like" in result.stderr
+        assert "crash" in result.stderr
 
 
 class TestPoisonHang:

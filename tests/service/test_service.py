@@ -178,7 +178,10 @@ class TestDispatcher:
         job = dispatcher.submit(
             dict(PAYLOAD, values=["34", "42"]), "alice"
         )
-        assert dispatcher.drain_once() == 1
+        try:
+            assert dispatcher.drain_once() == 1
+        finally:
+            dispatcher.shutdown_pool()
         done = dispatcher.queue.get(job.id)
         assert done.state is JobState.DONE
 

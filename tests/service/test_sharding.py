@@ -19,12 +19,15 @@ covers the real multi-process spawn.
 import socket
 from contextlib import ExitStack
 
+from repro.experiments.cache import ArtifactCache
 from repro.experiments.export import render_manifest
 from repro.experiments.runner import ExperimentContext, ExperimentProfile
 from repro.experiments.sweep import adhoc_spec, run_sweep
 from repro.service.client import get_stats, route_url, submit_and_wait
-from repro.service.dispatcher import sweep_title
+from repro.service.dispatcher import Dispatcher, sweep_title
+from repro.service.queue import JobQueue, JobState
 from repro.service.server import ServerThread
+from repro.service.tiered import TieredArtifactCache
 
 TINY = ExperimentProfile.tiny()
 
@@ -223,3 +226,41 @@ class TestRouting:
             for v in (16, 24, 34, 42, 50, 64, 80, 128, 7, 9)
         }
         assert len(owners) > 1  # the ring actually spreads work
+
+
+class TestPoolWorkersUseSharedTier:
+    """Cells computed in pool workers read and write the shared tier
+    exactly as in-process cells do (workers open the dispatcher's local
+    root *and* shared root)."""
+
+    def _drain(self, tmp_path, local, values):
+        cache = TieredArtifactCache(
+            tmp_path / local, shared_root=tmp_path / "shared"
+        )
+        dispatcher = Dispatcher(
+            JobQueue(tmp_path / f"{local}-queue"), cache.root,
+            cache=cache, jobs=2,
+        )
+        try:
+            job = dispatcher.submit(_payload(values), "alice")
+            assert dispatcher.drain_once() == 1
+            assert dispatcher.queue.get(job.id).state is JobState.DONE
+            return dispatcher.snapshot()["cache"]["session"]
+        finally:
+            dispatcher.shutdown_pool()
+            dispatcher.queue.close()
+
+    def test_worker_artifacts_reach_and_serve_from_shared_tier(
+        self, tmp_path
+    ):
+        self._drain(tmp_path, "local-a", SWEEP_VALUES)
+        shared = ArtifactCache(tmp_path / "shared").disk_stats()
+        assert {kind: count for kind, (count, _) in shared.items()} == {
+            "binary": 1, "trace": 1, "timed": 2, "service": 1,
+        }
+
+        # A fresh local dir over the same shared tier: only the cell
+        # the first dispatcher never saw is a timed miss.
+        session = self._drain(tmp_path, "local-b", SWEEP_VALUES + ("50",))
+        assert session["timed"]["misses"] == 1
+        assert session["timed"]["hits"] == len(SWEEP_VALUES)

@@ -1,33 +1,29 @@
 """Warm worker pool lifecycle: reuse across batches, rebuild on faults.
 
-PR 7 proved containment with pool-per-batch executors; the warm pool
-keeps one pre-warmed spawn pool alive across batches and must preserve
-that story exactly.  These scenarios pin the lifecycle counters served
-by ``GET /v1/stats``:
+Whenever the dispatcher has a pool (``jobs > 1`` or a deadline), it is
+one pre-warmed spawn pool kept alive across batches, and containment
+must hold on it exactly.  These scenarios pin the lifecycle counters
+served by ``GET /v1/stats``:
 
 * a healthy server **reuses** the pool once per batch and never
-  rebuilds it;
+  rebuilds it, with or without a deadline;
 * an injected worker kill **invalidates** the pool (counted as a
-  rebuild), quarantines the poison with PR 7 semantics, and leaves a
-  freshly re-warmed pool serving subsequent batches;
-* both execution paths (legacy fast path and the contained executor)
-  ride the same pool.
+  rebuild), quarantines the poison, and leaves a freshly re-warmed pool
+  serving subsequent batches.
 
 The pure-lifecycle unit tests at the top need no HTTP server and pin
-the counter semantics of :class:`repro.service.execution.WarmPool`
+the counter semantics of :class:`repro.experiments.pool.WarmPool`
 directly.
 """
 
-import multiprocessing
 import time
-import types
 from concurrent.futures import Future
 from concurrent.futures.process import BrokenProcessPool
 
 import pytest
 
+from repro.experiments.pool import WarmPool, _run_group
 from repro.service.client import get_stats, poll_job, submit_job
-from repro.service.execution import WarmPool, _run_group
 from repro.service.server import ServerThread
 
 from faultsim import arm_faults, kill, timed_signature
@@ -59,7 +55,7 @@ class TestWarmPoolUnit:
     """Counter semantics of the WarmPool object itself (no server)."""
 
     def test_lifecycle_counters(self):
-        pool = WarmPool(1, mp_context=multiprocessing.get_context("spawn"))
+        pool = WarmPool(1)
         try:
             assert pool.snapshot() == {
                 "workers": 1, "live": False, "reuses": 0, "rebuilds": 0,
@@ -100,15 +96,16 @@ class TestWarmPoolUnit:
 
 
 class TestPoolSurvivesBatches:
-    @pytest.mark.parametrize("job_timeout", [None, 60.0],
-                             ids=["legacy", "contained"])
-    def test_n_batches_n_reuses_zero_rebuilds(self, tmp_path, job_timeout):
+    @pytest.mark.parametrize("jobs,job_timeout", [(2, None), (1, 60.0)],
+                             ids=["no-deadline", "deadline"])
+    def test_n_batches_n_reuses_zero_rebuilds(self, tmp_path, jobs,
+                                              job_timeout):
         """Three sequential one-cell batches acquire the same pool three
         times: reuses == 3, rebuilds == 0, and the warmup was paid once
         (warmup_ms == last_warmup_ms)."""
         with ServerThread(
             tmp_path / "queue", tmp_path / "cache",
-            jobs=1, max_batch=8, warm_pool=True, job_timeout=job_timeout,
+            jobs=jobs, max_batch=8, job_timeout=job_timeout,
         ) as service:
             _wait_pool_live(service)
             for value in (34, 42, 50):
@@ -122,7 +119,8 @@ class TestPoolSurvivesBatches:
         assert pool["warmup_ms"] == pool["last_warmup_ms"]
 
     def test_disabled_by_default(self, tmp_path):
-        """Without --warm-pool the stats advertise no pool at all."""
+        """With --jobs 1 and no deadline cells run in-process, and the
+        stats advertise no pool at all."""
         with ServerThread(tmp_path / "queue", tmp_path / "cache") as service:
             assert get_stats(service.url)["workers"]["warm_pool"] is None
 
@@ -178,13 +176,11 @@ class TestMidSubmitCrash:
         no cell was classified as leftover, and the dispatcher went on
         to assemble — recomputing the poison in-process, outside
         containment.  Every cell must come back as leftover so the
-        caller bisects/re-runs it on a throwaway pool."""
+        caller bisects/re-runs it on a private pool."""
         warm = _StubWarmPool(_BrokenAtSecondSubmit())
         cells = [_StubCell("cell-a"), _StubCell("cell-b"), _StubCell("cell-c")]
-        context = types.SimpleNamespace(cache=None, profile=None)
         results, errors, hung, leftover, crashed = _run_group(
-            cells, context, 5.0, multiprocessing.get_context("spawn"), 1,
-            warm_pool=warm,
+            cells, warm, None, 5.0
         )
         assert crashed
         assert warm.invalidated == 1
@@ -206,7 +202,7 @@ class TestKillRebuildsPool:
         with plan, ServerThread(
             tmp_path / "queue", tmp_path / "cache",
             jobs=1, max_batch=8, job_timeout=30.0, max_attempts=2,
-            breaker_threshold=100, warm_pool=True,
+            breaker_threshold=100,
         ) as service:
             _wait_pool_live(service)
             ids = [submit_job(service.url, p)["id"] for p in payloads]
@@ -227,15 +223,15 @@ class TestKillRebuildsPool:
         assert states[ids[1]] == "quarantined"
         assert follow["state"] == "done"
 
-        # One rebuild per pool-killing attempt; execute_contained
-        # re-warms afterwards, so the pool ends live and the follow-up
-        # batch recorded a reuse on top of the rebuilds.
+        # One rebuild per pool-killing attempt; run_contained re-warms
+        # afterwards, so the pool ends live and the follow-up batch
+        # recorded a reuse on top of the rebuilds.
         pool = stats["workers"]["warm_pool"]
         assert mid["rebuilds"] >= 1
         assert pool["live"]
         assert pool["reuses"] > 0
         assert pool["rebuilds"] >= mid["rebuilds"]
-        # Bisection and innocent re-runs still happened on throwaway
-        # pools: the containment counters tell the PR 7 story untouched.
+        # Bisection and innocent re-runs happened on a private pool:
+        # the containment counters tell the same story as ever.
         assert stats["containment"]["pool_crashes"] >= 2
         assert stats["containment"]["quarantined"] == 1
