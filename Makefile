@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-crashsim test-faultsim lint smoke service-smoke service-smoke-workers service-smoke-pool shard-smoke events-smoke docs-check bench bench-perf bench-perf-smoke bench-service bench-load bench-load-smoke clean-cache
+.PHONY: test test-crashsim test-faultsim lint smoke smoke-replay service-smoke service-smoke-workers service-smoke-pool shard-smoke events-smoke docs-check bench bench-perf bench-perf-smoke bench-service bench-load bench-load-smoke clean-cache
 
 ## Tier-1 test suite.
 test:
@@ -26,6 +26,12 @@ lint:
 ## End-to-end pipeline smoke: every figure, reduced profile, 2 workers.
 smoke:
 	$(PYTHON) -m repro run-all --profile quick --jobs 2 --cache-dir .repro-cache --json smoke-results.json
+
+## Warm-replay check: quick run-all cold with 2 workers, then warm and
+## serial on the same fresh cache; fails unless the manifests are
+## byte-identical and the warm run misses the cache for no kind.
+smoke-replay:
+	$(PYTHON) scripts/replay_smoke.py
 
 ## Service smoke: start `repro serve`, submit a tiny sweep over HTTP,
 ## verify the response against the cached artifact and the warm path.

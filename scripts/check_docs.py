@@ -51,6 +51,9 @@ DESIGN_REQUIRED = (
     "circuit breaker",
     "graceful drain",
     "/v1/health",
+    # The one table of artifact kinds and its one resolve path.
+    "artifact-kind table",
+    "resolve path",
     # Superinstruction compilation + the one persistent worker pool.
     "superinstruction",
     "fused",

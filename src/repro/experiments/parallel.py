@@ -3,11 +3,16 @@
 Every figure's sweep decomposes into independent *cells*: one functional
 or timing simulation of one (workload, DVI configuration, machine
 configuration) point.  Experiment modules enumerate their cells as
-:class:`Job` lists (their ``jobs(profile)`` functions); :func:`execute`
+:class:`Job` lists (their ``jobs(profile)`` functions; a job names a row
+of the artifact-kind table,
+:data:`~repro.experiments.runner.ARTIFACT_KINDS`); :func:`execute`
 runs a job list to completion — serially in-process, or on the
 context's persistent worker pool (:mod:`repro.experiments.pool`) when
 its owner created one — and merges every result back into the parent
-:class:`~repro.experiments.runner.ExperimentContext` caches.
+:class:`~repro.experiments.runner.ExperimentContext` caches.  Either
+way each cell resolves through
+:meth:`~repro.experiments.runner.ExperimentContext.cell`, the context's
+one memo → cache → compute path.
 
 Determinism: workers only *compute* cells; the parent merges results in
 job-list order and every experiment assembles its figure from the warmed
@@ -25,12 +30,9 @@ worker.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.dvi.config import DVIConfig
-from repro.experiments.cache import fingerprint
-from repro.experiments.runner import ExperimentContext
-from repro.sim.config import MachineConfig
+from repro.experiments.runner import ExperimentContext, Job
 
 __all__ = [
     "CellFailedError",
@@ -39,126 +41,6 @@ __all__ = [
     "Job",
     "execute",
 ]
-
-#: Job kinds, in the order a cell's dependency chain runs them.
-KINDS = ("binary", "functional", "trace", "timed")
-
-
-@dataclass(frozen=True)
-class Job:
-    """One independent simulation cell of an experiment sweep.
-
-    ``kind`` selects the artifact the cell produces:
-
-    * ``"binary"`` — build the workload (both E-DVI variants),
-    * ``"functional"`` — an architectural run (stats, no trace),
-    * ``"trace"`` — a full dynamic trace,
-    * ``"timed"`` — an out-of-order timing simulation (requires
-      ``machine``; generates the trace as a dependency).
-    """
-
-    kind: str
-    workload: str
-    dvi: Optional[DVIConfig] = None
-    edvi_binary: bool = False
-    machine: Optional[MachineConfig] = None
-    live_hist: bool = False
-
-    def __post_init__(self) -> None:
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown job kind {self.kind!r}")
-        if self.kind == "timed" and self.machine is None:
-            raise ValueError("timed jobs need a machine config")
-        if self.kind in ("functional", "trace", "timed") and self.dvi is None:
-            raise ValueError(f"{self.kind} jobs need a DVI config")
-
-    def signature(self) -> str:
-        """Value-based identity, for deduplication across figures."""
-        return fingerprint(
-            self.kind, self.workload, self.dvi, self.edvi_binary,
-            self.machine, self.live_hist,
-        )
-
-    def dependencies(self) -> List["Job"]:
-        """The implicit upstream cells running this cell materializes.
-
-        A ``timed`` cell generates its trace (and the trace its binary)
-        on a cache miss without those cells ever being enumerated in a
-        job list.  Cross-batch dedup that only registers enumerated
-        cells therefore lets two concurrent batches race the shared
-        dependency artifacts; claiming the closure returned here closes
-        that gap.  The ``binary`` dependency deliberately uses the
-        default field values so its signature matches an enumerated
-        ``binary`` cell (one build produces both E-DVI variants).
-        """
-        if self.kind == "binary":
-            return []
-        binary = Job("binary", self.workload)
-        if self.kind in ("functional", "trace"):
-            return [binary]
-        return [
-            binary,
-            Job("trace", self.workload, dvi=self.dvi,
-                edvi_binary=self.edvi_binary),
-        ]
-
-
-# ----------------------------------------------------------------------
-# Running one job inside a context (used in-process and by pool workers).
-# ----------------------------------------------------------------------
-
-def _run_job(job: Job, context: ExperimentContext) -> Any:
-    if job.kind == "binary":
-        context.binary(job.workload, edvi=True)
-        return (
-            context.binary(job.workload, edvi=False),
-            context.binary(job.workload, edvi=True),
-        )
-    if job.kind == "functional":
-        return context.functional(
-            job.workload, job.dvi,
-            edvi_binary=job.edvi_binary, live_hist=job.live_hist,
-        )
-    if job.kind == "trace":
-        return context.trace(job.workload, job.dvi, edvi_binary=job.edvi_binary)
-    return context.timed(
-        job.workload, job.dvi, job.machine, edvi_binary=job.edvi_binary
-    )
-
-
-def _satisfied(job: Job, context: ExperimentContext) -> bool:
-    """True if the parent's in-memory caches already hold the cell."""
-    if job.kind == "binary":
-        return (job.workload, True) in context._binaries
-    if job.kind == "functional":
-        key = (job.workload, job.edvi_binary, job.dvi, job.live_hist)
-        return key in context._functional
-    if job.kind == "trace":
-        return (job.workload, job.edvi_binary, job.dvi) in context._traces
-    return (
-        fingerprint(
-            context._timed_key(job.workload, job.dvi, job.machine, job.edvi_binary)
-        )
-        in context._timed
-    )
-
-
-def _absorb(job: Job, value: Any, context: ExperimentContext) -> None:
-    """Merge one worker-computed result into the parent's memo layer."""
-    if job.kind == "binary":
-        plain, annotated = value
-        context._binaries[(job.workload, False)] = plain
-        context._binaries[(job.workload, True)] = annotated
-    elif job.kind == "functional":
-        key = (job.workload, job.edvi_binary, job.dvi, job.live_hist)
-        context._functional[key] = value
-    elif job.kind == "trace":
-        context._traces[(job.workload, job.edvi_binary, job.dvi)] = value
-    else:
-        memo_key = fingerprint(
-            context._timed_key(job.workload, job.dvi, job.machine, job.edvi_binary)
-        )
-        context._timed[memo_key] = value
 
 
 # ----------------------------------------------------------------------
@@ -171,8 +53,9 @@ class CellFailure:
 
     ``kind`` is ``"timeout"`` (blew the wall-clock deadline),
     ``"crash"`` (isolated as the cell whose execution kills the worker
-    pool), or ``"error"`` (raised an ordinary exception in a worker —
-    the pool survived).
+    pool), ``"error"`` (raised an ordinary exception in a worker —
+    the pool survived), or ``"shutdown"`` (the pool's owner shut it
+    down before the cell finished).
     """
 
     job: Job
@@ -242,7 +125,7 @@ def execute(
     seen = set()
     for job in jobs:
         signature = job.signature()
-        if signature in seen or _satisfied(job, context):
+        if signature in seen or context.holds(job):
             continue
         seen.add(signature)
         pending.append(job)
@@ -250,7 +133,7 @@ def execute(
         return ExecuteReport()
     if context.pool is None:
         for job in pending:
-            _run_job(job, context)
+            context.cell(job)
         return ExecuteReport(executed=len(pending))
     # A pool exists only where its creator already imported this module.
     from repro.experiments.pool import run_contained

@@ -54,13 +54,7 @@ from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.experiments.cache import ArtifactCache, CacheCounters
-from repro.experiments.parallel import (
-    CellFailure,
-    ExecuteReport,
-    Job,
-    _absorb,
-    _run_job,
-)
+from repro.experiments.parallel import CellFailure, ExecuteReport, Job
 from repro.experiments.runner import ExperimentContext, ExperimentProfile
 
 __all__ = [
@@ -175,9 +169,10 @@ def _maybe_inject(job: Job) -> None:
 _WARM_CACHE_FACTORY: Optional[Callable[[], ArtifactCache]] = None
 _WARM_CONTEXTS: Dict[str, ExperimentContext] = {}
 
-#: Entries allowed in one in-memory memo layer of a worker's long-lived
+#: Entries allowed in one per-kind memo layer of a worker's long-lived
 #: context before that layer is dropped (the shared disk cache keeps
-#: warmth; this only bounds process footprint).
+#: warmth; this only bounds process footprint: a worker lives as long
+#: as its pool and must not accumulate every trace it ever computed).
 _WARM_MEMO_CAP = 64
 
 
@@ -217,21 +212,6 @@ def _warm_context(profile: ExperimentProfile) -> ExperimentContext:
     return context
 
 
-def _trim_warm_context(context: ExperimentContext) -> None:
-    """Bound the long-lived context's in-memory memo layers.
-
-    A worker lives as long as its pool and must not accumulate every
-    trace it ever computed.  Dropping a layer is always safe — the next
-    lookup re-reads the disk cache.
-    """
-    for layer in (
-        context._binaries, context._traces, context._functional,
-        context._timed, context._artifacts,
-    ):
-        if len(layer) > _WARM_MEMO_CAP:
-            layer.clear()
-
-
 def _warm_run(
     profile: ExperimentProfile, job: Job
 ) -> Tuple[Any, Dict[str, CacheCounters]]:
@@ -243,11 +223,11 @@ def _warm_run(
     """
     _maybe_inject(job)
     context = _warm_context(profile)
-    value = _run_job(job, context)
+    value = context.cell(job)
     deltas: Dict[str, CacheCounters] = {}
     if context.cache is not None:
         deltas, context.cache.counters = context.cache.counters, {}
-    _trim_warm_context(context)
+    context.trim_memo(_WARM_MEMO_CAP)
     return value, deltas
 
 
@@ -288,6 +268,8 @@ class WarmPool:
         self._on_event = on_event
         self._pool: Optional[ProcessPoolExecutor] = None
         self._lock = threading.Lock()
+        #: Set by :meth:`shutdown`; a closed pool never spawns again.
+        self.closed = False
         self.reuses = 0
         self.rebuilds = 0
         self.warmup_seconds = 0.0
@@ -327,14 +309,19 @@ class WarmPool:
         return pool
 
     def ensure(self) -> None:
-        """Spawn and warm the pool if it is not already live."""
+        """Spawn and warm the pool if it is neither live nor closed."""
         with self._lock:
-            if self._pool is None:
+            if self._pool is None and not self.closed:
                 self._spawn_locked()
 
     def acquire(self) -> ProcessPoolExecutor:
-        """The live executor, spawning + pre-warming on first use."""
+        """The live executor, spawning + pre-warming on first use.
+
+        Raises ``RuntimeError`` once the pool is closed.
+        """
         with self._lock:
+            if self.closed:
+                raise RuntimeError("the worker pool is shut down")
             if self._pool is not None:
                 self.reuses += 1
                 return self._pool
@@ -361,12 +348,20 @@ class WarmPool:
         _kill_pool(pool)
 
     def shutdown(self) -> None:
-        """Final teardown (owner exit); not counted as a rebuild."""
+        """Final teardown (owner exit); not counted as a rebuild.
+
+        Kills the workers, as :meth:`invalidate` does: after an unclean
+        drain one may be wedged in a hung cell, and a worker holds both
+        ends of its call-queue pipe, so it would outlive its owner.  The
+        pool is closed for good, so a batch still running on it cannot
+        spawn workers nobody would kill.
+        """
         with self._lock:
+            self.closed = True
             pool = self._pool
             self._pool = None
         if pool is not None:
-            pool.shutdown(wait=False, cancel_futures=True)
+            _kill_pool(pool)
 
     def snapshot(self) -> dict:
         """Lifecycle counters for ``/v1/stats`` (stable key order)."""
@@ -509,7 +504,8 @@ def run_contained(
     invalidates it; bisection halves and innocent victims then run on
     one private pool (isolating poison must not keep killing the shared
     one), and the shared pool is re-warmed before returning so the next
-    batch finds it live.
+    batch finds it live.  Once the shared pool is closed, no group
+    runs: its unfinished cells fail as ``shutdown``.
     """
     shared = context.pool
     report = ExecuteReport()
@@ -527,7 +523,7 @@ def run_contained(
                 if payload is None:
                     continue
                 value, deltas = payload
-                _absorb(cell, value, context)
+                context.remember(cell, value)
                 if context.cache is not None:
                     CacheCounters.merge(context.cache.counters, deltas)
                 report.executed += 1
@@ -541,6 +537,15 @@ def run_contained(
                     cell, "timeout",
                     f"cell exceeded the {job_timeout:g}s deadline",
                 )
+            if shared.closed:
+                # The owner shut the pool down under this batch (an
+                # unclean drain).  A re-run or a bisection would spawn
+                # workers nobody kills, so the unfinished cells fail.
+                for cell in leftover + [c for rest in groups for c in rest]:
+                    report.failures[cell.signature()] = CellFailure(
+                        cell, "shutdown", "the worker pool was shut down",
+                    )
+                break
             if crashed:
                 report.pool_crashes += 1
                 if observer is not None:

@@ -12,18 +12,21 @@ documents), ``quick()`` is a fast configuration used by the pytest-benchmark
 harness and CI, and ``tiny()`` is the smallest sweep that still exhibits
 every qualitative effect (used by the test suite and smoke runs).
 
-:class:`ExperimentContext` layers two caches under every experiment:
-an in-process memo (dictionaries keyed by value, not identity) and an
-optional :class:`~repro.experiments.cache.ArtifactCache` that persists
-binaries, traces, functional results, and timing stats across processes
-and across invocations.
+:data:`ARTIFACT_KINDS` is the artifact-kind table: one row per kind of
+simulation artifact (binaries, traces, functional results, timing
+stats) giving its cache key, its compute function and its upstream
+kinds.  :class:`ExperimentContext` resolves every artifact through one
+path over two caches: an in-process memo (keyed by value, not identity)
+and an optional :class:`~repro.experiments.cache.ArtifactCache` that
+persists artifacts across processes and across invocations.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import (
-    TYPE_CHECKING, Any, Callable, Dict, List, Optional, Sequence, Tuple,
+    TYPE_CHECKING, Any, Callable, Dict, List, Mapping, Optional, Sequence,
+    Tuple,
 )
 
 from repro.dvi.config import DVIConfig, SRScheme
@@ -100,12 +103,157 @@ class ExperimentProfile:
         return getattr(cls, name)()
 
 
+# ----------------------------------------------------------------------
+# The artifact-kind table: the one place that knows which simulation
+# artifacts exist and how each is keyed and computed.  The compute
+# functions look up get_program, insert_edvi, run_program and simulate
+# in this module's globals at call time, so a wrapper installed on
+# those names (a tracer, a test double) sees every call.
+# ----------------------------------------------------------------------
+
+def _build(cell: "Job", scale: int) -> Tuple[Program, Program]:
+    plain = get_program(cell.workload, scale)
+    return plain, insert_edvi(plain).program
+
+
+def _trace(cell: "Job", scale: int, binaries: Tuple[Program, Program]) -> Trace:
+    result = run_program(binaries[cell.edvi_binary], cell.dvi, collect_trace=True)
+    if not result.stats.completed:
+        raise RuntimeError(f"workload {cell.workload} did not complete")
+    assert result.trace is not None
+    return result.trace
+
+
+@dataclass(frozen=True)
+class ArtifactKind:
+    """One row of the artifact-kind table.
+
+    ``fields``: the :class:`Job` fields besides ``workload`` that key
+    the kind (a cell must set each).  ``key(cell, scale)``: the
+    disk-cache key tuple.  ``compute(cell, scale, *inputs)``: builds the
+    artifact from those of the ``upstream`` kinds.  ``shared``: whether
+    :meth:`ExperimentContext.with_fresh_timing` views share the kind's
+    memo layer.
+    """
+
+    fields: Tuple[str, ...]
+    key: Callable[["Job", int], tuple]
+    compute: Callable[..., Any]
+    upstream: Tuple[str, ...] = ()
+    shared: bool = True
+
+
+#: Artifact kind -> its row; the kind names are also the cache's counter names.
+ARTIFACT_KINDS: Dict[str, ArtifactKind] = {
+    # Per section 3, baselines run the annotation-free binary and the
+    # DVI configurations the E-DVI-rewritten one; the rewrite starts
+    # from the plain binary, so the pair is one ``(plain, annotated)``
+    # artifact.
+    "binary": ArtifactKind(
+        fields=(), key=lambda c, s: (c.workload, s), compute=_build,
+    ),
+    # TRACE_FORMAT keeps traces of different storage formats distinct
+    # cache cells even if the code version were ever held fixed.
+    "trace": ArtifactKind(
+        fields=("dvi", "edvi_binary"),
+        key=lambda c, s: (c.workload, s, c.edvi_binary, c.dvi, TRACE_FORMAT),
+        compute=_trace, upstream=("binary",),
+    ),
+    "functional": ArtifactKind(
+        fields=("dvi", "edvi_binary", "live_hist"),
+        key=lambda c, s: (c.workload, s, c.edvi_binary, c.dvi, c.live_hist),
+        compute=lambda c, s, binaries: run_program(
+            binaries[c.edvi_binary], c.dvi,
+            collect_trace=False, collect_live_hist=c.live_hist,
+        ),
+        upstream=("binary",),
+    ),
+    # Timing is what fresh-timing views re-execute, so it is not shared.
+    "timed": ArtifactKind(
+        fields=("dvi", "edvi_binary", "machine"),
+        key=lambda c, s: (c.workload, s, c.edvi_binary, c.dvi, c.machine),
+        compute=lambda c, s, trace: simulate(c.machine, trace),
+        upstream=("trace",), shared=False,
+    ),
+}
+
+
+@dataclass(frozen=True)
+class Job:
+    """One independent simulation cell of an experiment sweep.
+
+    ``kind`` names the artifact the cell produces — a row of
+    :data:`ARTIFACT_KINDS`, whose ``fields`` say which of the other
+    fields the cell needs (a ``timed`` cell, for one, needs ``dvi`` and
+    ``machine``).
+    """
+
+    kind: str
+    workload: str
+    dvi: Optional[DVIConfig] = None
+    edvi_binary: bool = False
+    machine: Optional[MachineConfig] = None
+    live_hist: bool = False
+
+    def __post_init__(self) -> None:
+        if self.kind not in ARTIFACT_KINDS:
+            raise ValueError(f"unknown job kind {self.kind!r}")
+        for name in ARTIFACT_KINDS[self.kind].fields:
+            if getattr(self, name) is None:
+                raise ValueError(f"{self.kind} jobs need a {name} config")
+        # Computed once: dedup, the context's memo and the service's
+        # in-flight registry all key on it.
+        object.__setattr__(self, "_signature", fingerprint(
+            self.kind, self.workload, self.dvi, self.edvi_binary,
+            self.machine, self.live_hist,
+        ))
+
+    @classmethod
+    def of(cls, kind: str, workload: str, values: Mapping[str, Any]) -> "Job":
+        """The ``kind`` cell for ``workload``, keyed by ``values``."""
+        return cls(kind, workload, **{
+            name: values[name] for name in ARTIFACT_KINDS[kind].fields
+        })
+
+    def signature(self) -> str:
+        """Value-based identity, for deduplication across figures."""
+        return self._signature
+
+    def inputs(self) -> List["Job"]:
+        """The cells whose artifacts computing this cell reads."""
+        return [Job.of(kind, self.workload, vars(self))
+                for kind in ARTIFACT_KINDS[self.kind].upstream]
+
+    def dependencies(self) -> List["Job"]:
+        """The implicit upstream cells running this cell materializes.
+
+        A ``timed`` cell generates its trace (and the trace its binary)
+        on a cache miss without those cells ever being enumerated in a
+        job list.  Cross-batch dedup that only registers enumerated
+        cells therefore lets two concurrent batches race the shared
+        dependency artifacts; claiming the closure returned here closes
+        that gap.  The closure follows the table's ``upstream`` chain,
+        farthest upstream first, and each dependency carries only the
+        fields its kind is keyed by, so its signature matches an
+        enumerated cell of that kind.
+        """
+        closure: List[Job] = []
+        for cell in self.inputs():
+            for dependency in cell.dependencies() + [cell]:
+                if dependency not in closure:
+                    closure.append(dependency)
+        return closure
+
+
 class ExperimentContext:
     """Caches simulation artifacts across experiments.
 
-    Two layers: per-process dictionaries (always on), and an optional
+    Two layers: one per-process memo (always on), and an optional
     on-disk :class:`~repro.experiments.cache.ArtifactCache` shared by
     every process and every invocation that points at the same directory.
+    Every artifact — the four standard kinds of :data:`ARTIFACT_KINDS`
+    and experiment-specific ones — resolves through one path: memo, then
+    disk cache, then compute (and store).
     ``pool`` is the :class:`~repro.experiments.pool.WarmPool` the
     :func:`repro.experiments.parallel.execute` scheduler runs cells on
     when an experiment hands it a job list; ``None`` runs them in this
@@ -123,86 +271,34 @@ class ExperimentContext:
         self.profile = profile
         self.cache = cache
         self.pool = pool
-        self._binaries: Dict[Tuple[str, bool], Program] = {}
-        self._traces: Dict[Tuple[str, bool, DVIConfig], Trace] = {}
-        self._functional: Dict[tuple, FunctionalResult] = {}
-        self._timed: Dict[str, PipelineStats] = {}
-        self._artifacts: Dict[Tuple[str, str], Any] = {}
+        #: kind -> identity -> artifact.  Every standard kind has a layer
+        #: from the start, so fresh-timing views can share it.
+        self._memo: Dict[str, Dict[str, Any]] = {kind: {} for kind in ARTIFACT_KINDS}
 
-    # ------------------------------------------------------------------
-    # Disk-cache key tuples (value-canonicalized by ArtifactCache).
-    # ------------------------------------------------------------------
+    def cell(self, job: Job) -> Any:
+        """The artifact of one cell, computed from its inputs on a miss."""
+        row = ARTIFACT_KINDS[job.kind]
+        scale = self.profile.scale
+        return self._resolve(
+            job.kind, job.signature(), row.key(job, scale),
+            lambda: row.compute(job, scale, *map(self.cell, job.inputs())),
+        )
 
-    def _binary_key(self, workload: str) -> tuple:
-        return (workload, self.profile.scale)
+    def holds(self, job: Job) -> bool:
+        """Whether the cell's artifact is already in the memo."""
+        return job.signature() in self._memo[job.kind]
 
-    def _trace_key(self, workload: str, dvi: DVIConfig, edvi_binary: bool) -> tuple:
-        # TRACE_FORMAT makes artifacts of different trace storage formats
-        # (pre-columnar vs columnar) distinct cache cells even if the code
-        # version were ever held fixed across the change.
-        return (workload, self.profile.scale, edvi_binary, dvi, TRACE_FORMAT)
-
-    def _functional_key(
-        self, workload: str, dvi: DVIConfig, edvi_binary: bool, live_hist: bool
-    ) -> tuple:
-        return (workload, self.profile.scale, edvi_binary, dvi, live_hist)
-
-    def _timed_key(
-        self, workload: str, dvi: DVIConfig, config: MachineConfig, edvi_binary: bool
-    ) -> tuple:
-        return (workload, self.profile.scale, edvi_binary, dvi, config)
-
-    # ------------------------------------------------------------------
+    def remember(self, job: Job, value: Any) -> None:
+        """Memoize a cell computed elsewhere (by a pool worker)."""
+        self._memo[job.kind][job.signature()] = value
 
     def binary(self, workload: str, *, edvi: bool) -> Program:
-        """The workload's binary, with or without E-DVI annotations.
-
-        Per section 3, baselines always run the annotation-free binary; the
-        DVI configurations run the rewritten one.  A miss builds and caches
-        *both* variants at once — the E-DVI rewrite starts from the plain
-        binary anyway, so the pair is one unit of work and is stored as a
-        single ``(plain, annotated)`` artifact on disk.
-        """
-        key = (workload, edvi)
-        if key not in self._binaries:
-            pair = None
-            if self.cache is not None:
-                hit, value = self.cache.lookup("binary", self._binary_key(workload))
-                if hit:
-                    pair = value
-            if pair is None:
-                plain = get_program(workload, self.profile.scale)
-                pair = (plain, insert_edvi(plain).program)
-                if self.cache is not None:
-                    self.cache.store("binary", self._binary_key(workload), pair)
-            self._binaries[(workload, False)] = pair[0]
-            self._binaries[(workload, True)] = pair[1]
-        return self._binaries[key]
+        """The workload's binary, with or without E-DVI annotations."""
+        return self.cell(Job("binary", workload))[edvi]
 
     def trace(self, workload: str, dvi: DVIConfig, *, edvi_binary: bool) -> Trace:
         """A dynamic trace of the workload under a DVI configuration."""
-        key = (workload, edvi_binary, dvi)
-        if key not in self._traces:
-            trace = None
-            if self.cache is not None:
-                hit, value = self.cache.lookup(
-                    "trace", self._trace_key(workload, dvi, edvi_binary)
-                )
-                if hit:
-                    trace = value
-            if trace is None:
-                program = self.binary(workload, edvi=edvi_binary)
-                result = run_program(program, dvi, collect_trace=True)
-                if not result.stats.completed:
-                    raise RuntimeError(f"workload {workload} did not complete")
-                assert result.trace is not None
-                trace = result.trace
-                if self.cache is not None:
-                    self.cache.store(
-                        "trace", self._trace_key(workload, dvi, edvi_binary), trace
-                    )
-            self._traces[key] = trace
-        return self._traces[key]
+        return self.cell(Job("trace", workload, dvi=dvi, edvi_binary=edvi_binary))
 
     def functional(
         self,
@@ -213,29 +309,8 @@ class ExperimentContext:
         live_hist: bool = False,
     ) -> FunctionalResult:
         """A trace-free functional run (for figures 3, 9, 12)."""
-        key = (workload, edvi_binary, dvi, live_hist)
-        if key not in self._functional:
-            result = None
-            if self.cache is not None:
-                hit, value = self.cache.lookup(
-                    "functional",
-                    self._functional_key(workload, dvi, edvi_binary, live_hist),
-                )
-                if hit:
-                    result = value
-            if result is None:
-                program = self.binary(workload, edvi=edvi_binary)
-                result = run_program(
-                    program, dvi, collect_trace=False, collect_live_hist=live_hist
-                )
-                if self.cache is not None:
-                    self.cache.store(
-                        "functional",
-                        self._functional_key(workload, dvi, edvi_binary, live_hist),
-                        result,
-                    )
-            self._functional[key] = result
-        return self._functional[key]
+        return self.cell(Job("functional", workload, dvi=dvi,
+                             edvi_binary=edvi_binary, live_hist=live_hist))
 
     def timed(
         self,
@@ -245,27 +320,48 @@ class ExperimentContext:
         *,
         edvi_binary: bool,
     ) -> PipelineStats:
-        """One out-of-order timing run (memoized; machine config in the key)."""
-        memo_key = fingerprint(self._timed_key(workload, dvi, config, edvi_binary))
-        if memo_key not in self._timed:
-            stats = None
-            if self.cache is not None:
-                hit, value = self.cache.lookup(
-                    "timed", self._timed_key(workload, dvi, config, edvi_binary)
-                )
-                if hit:
-                    stats = value
-            if stats is None:
-                trace = self.trace(workload, dvi, edvi_binary=edvi_binary)
-                stats = simulate(config, trace)
-                if self.cache is not None:
-                    self.cache.store(
-                        "timed",
-                        self._timed_key(workload, dvi, config, edvi_binary),
-                        stats,
-                    )
-            self._timed[memo_key] = stats
-        return self._timed[memo_key]
+        """One out-of-order timing run (machine config in the key)."""
+        return self.cell(Job("timed", workload, dvi=dvi,
+                             edvi_binary=edvi_binary, machine=config))
+
+    def artifact(self, kind: str, key: tuple, compute: Callable[[], Any]) -> Any:
+        """Read-through memoization for experiment-specific artifacts.
+
+        Used by measurements that are not one of the four standard cell
+        kinds — e.g. Figure 12's preemptive-scheduler run.  ``key`` must be
+        canonicalizable by :func:`repro.experiments.cache.canonical`; the
+        profile scale is appended automatically.
+        """
+        full_key = key + (self.profile.scale,)
+        return self._resolve(kind, fingerprint(full_key), full_key, compute)
+
+    def _resolve(
+        self, kind: str, identity: str, key: tuple, compute: Callable[[], Any]
+    ) -> Any:
+        """Memo, then disk cache, then ``compute`` (stored on return)."""
+        layer = self._memo.setdefault(kind, {})
+        if identity in layer:
+            return layer[identity]
+        if self.cache is None:
+            value = compute()
+        else:
+            digest = self.cache.digest(kind, key)
+            hit, value = self.cache.load_digest(kind, digest)
+            if not hit:
+                value = compute()
+                self.cache.store_digest(kind, digest, value)
+        layer[identity] = value
+        return value
+
+    def trim_memo(self, limit: int) -> None:
+        """Empty every memo layer holding more than ``limit`` artifacts.
+
+        Dropping a layer is always safe — the next lookup re-reads the
+        disk cache.  Long-lived pool workers bound their footprint so.
+        """
+        for layer in self._memo.values():
+            if len(layer) > limit:
+                layer.clear()
 
     def with_fresh_timing(self) -> "ExperimentContext":
         """A view of this context whose timing memo starts empty.
@@ -279,32 +375,10 @@ class ExperimentContext:
         memoized.
         """
         view = ExperimentContext(self.profile, cache=self.cache, pool=self.pool)
-        view._binaries = self._binaries
-        view._traces = self._traces
-        view._functional = self._functional
+        for kind, row in ARTIFACT_KINDS.items():
+            if row.shared:
+                view._memo[kind] = self._memo[kind]
         return view
-
-    def artifact(self, kind: str, key: tuple, compute: Callable[[], Any]) -> Any:
-        """Read-through memoization for experiment-specific artifacts.
-
-        Used by measurements that are not one of the four standard cell
-        kinds — e.g. Figure 12's preemptive-scheduler run.  ``key`` must be
-        canonicalizable by :func:`repro.experiments.cache.canonical`; the
-        profile scale is appended automatically.
-        """
-        full_key = key + (self.profile.scale,)
-        memo_key = (kind, fingerprint(full_key))
-        if memo_key not in self._artifacts:
-            value = None
-            hit = False
-            if self.cache is not None:
-                hit, value = self.cache.lookup(kind, full_key)
-            if not hit:
-                value = compute()
-                if self.cache is not None:
-                    self.cache.store(kind, full_key, value)
-            self._artifacts[memo_key] = value
-        return self._artifacts[memo_key]
 
 
 # ----------------------------------------------------------------------

@@ -169,13 +169,24 @@ class SweepSpec:
 
     # -- cell enumeration ----------------------------------------------
 
+    def cell(self, mode: Mode, workload: str, point: Point = None) -> Job:
+        """The spec's one cell at (mode, workload, point).
+
+        Enumeration (:meth:`jobs`) and read-back (:meth:`result`) both
+        build cells here, so they cannot name different cells.
+        """
+        point = point or {}
+        return Job.of(self.kind, workload, {
+            "dvi": mode.dvi_at(point), "edvi_binary": mode.edvi_binary,
+            "machine": self.machine_at(point), "live_hist": mode.live_hist,
+        })
+
     def jobs(self, profile: ExperimentProfile) -> List[Job]:
-        """The spec's independent simulation cells, as scheduler jobs."""
-        if self.kind == "timed" and self.machine is None:
-            raise ValueError(
-                f"spec {self.name!r} declares timed cells but no machine "
-                f"source (set machine=, or kind='functional')"
-            )
+        """The spec's independent simulation cells, as scheduler jobs.
+
+        A cell missing a field its kind needs (a timed spec without a
+        machine source) raises ``ValueError``.
+        """
         workloads = self.resolve_workloads(profile)
         plan: List[Job] = []
         if self.include_binary:
@@ -194,17 +205,8 @@ class SweepSpec:
                                         edvi_binary=mode.edvi_binary))
         for mode in self.modes:
             for point in self.points(profile):
-                dvi = mode.dvi_at(point)
-                machine = self.machine_at(point)
                 for workload in workloads:
-                    if self.kind == "timed":
-                        plan.append(Job(kind="timed", workload=workload,
-                                        dvi=dvi, edvi_binary=mode.edvi_binary,
-                                        machine=machine))
-                    else:
-                        plan.append(Job(kind="functional", workload=workload,
-                                        dvi=dvi, edvi_binary=mode.edvi_binary,
-                                        live_hist=mode.live_hist))
+                    plan.append(self.cell(mode, workload, point))
         return plan
 
     def execute(self, profile: ExperimentProfile,
@@ -225,14 +227,7 @@ class SweepSpec:
         ``PipelineStats`` for timed sweeps, ``FunctionalResult`` for
         functional ones.
         """
-        point = point or {}
-        dvi = mode.dvi_at(point)
-        if self.kind == "timed":
-            return context.timed(workload, dvi, self.machine_at(point),
-                                 edvi_binary=mode.edvi_binary)
-        return context.functional(workload, dvi,
-                                  edvi_binary=mode.edvi_binary,
-                                  live_hist=mode.live_hist)
+        return context.cell(self.cell(mode, workload, point))
 
     # -- declarative tweaks --------------------------------------------
 
@@ -308,18 +303,19 @@ class SweepResult:
         )
 
 
-#: Metric name -> extractor, per sweep kind.  Single source of truth for
+#: Sweep kind -> metric name -> extractor.  Single source of truth for
 #: both the per-row metric dicts and the table's column order.
-_TIMED_METRICS = {
-    "IPC": lambda stats: stats.ipc,
-    "mispredict %": lambda stats: 100.0 * stats.mispredict_rate,
-}
-
-_FUNCTIONAL_METRICS = {
-    "insts": lambda result: float(result.stats.program_insts),
-    "eliminated": lambda result: float(
-        result.stats.saves_restores_eliminated
-    ),
+_METRICS = {
+    "timed": {
+        "IPC": lambda stats: stats.ipc,
+        "mispredict %": lambda stats: 100.0 * stats.mispredict_rate,
+    },
+    "functional": {
+        "insts": lambda result: float(result.stats.program_insts),
+        "eliminated": lambda result: float(
+            result.stats.saves_restores_eliminated
+        ),
+    },
 }
 
 
@@ -452,7 +448,7 @@ def assemble_sweep(
     .execute` batch and then assemble each request's table individually:
     assembly only reads the context's memo layer, so it re-runs nothing.
     """
-    metrics = _TIMED_METRICS if spec.kind == "timed" else _FUNCTIONAL_METRICS
+    metrics = _METRICS[spec.kind]
     result = SweepResult(
         spec_name=spec.name,
         kind=spec.kind,

@@ -282,30 +282,33 @@ class ServiceServer:
             self.drained_clean = self.dispatcher.idle()
         self._server.close()
         await self._server.wait_closed()
-        # Cancelling the drain tasks does not interrupt an executor'd
-        # drain_once; wait for any in-flight batches to record their
-        # results BEFORE closing the journal they write to.  A wedged
-        # batch that already blew the drain grace is the one case where
-        # waiting would hang shutdown forever — abandon it instead (the
-        # CLI hard-exits; its jobs are demoted below, so a restart
-        # replays them as cleanly queued).
-        self._executor.shutdown(wait=self.drained_clean)
-        self._read_executor.shutdown(wait=True)
-        self.dispatcher.shutdown_pool()
         if self._draining:
             # Demote any straggler batch's RUNNING claims so replay
-            # never shows a phantom in-flight job, then fold the
-            # journal down while we are the last writer.
+            # never shows a phantom in-flight job — before the pool
+            # teardown below fails their cells, so that failure charges
+            # no attempt.
             for job in self.queue.running_jobs():
                 try:
                     self.queue.demote(job.id)
                 except Exception:
                     pass
-            if self.drained_clean:
-                try:
-                    self.queue.compact()
-                except Exception:
-                    pass  # best effort: drain must still exit 0
+        # Cancelling the drain tasks does not interrupt an executor'd
+        # drain_once; wait for any in-flight batches to record their
+        # results BEFORE closing the journal they write to.  A wedged
+        # batch that already blew the drain grace is the one case where
+        # waiting would hang shutdown forever — abandon it instead (the
+        # CLI hard-exits; its jobs were demoted above, so a restart
+        # replays them as cleanly queued, and the pool teardown kills
+        # its workers, which would otherwise outlive us).
+        self._executor.shutdown(wait=self.drained_clean)
+        self._read_executor.shutdown(wait=True)
+        self.dispatcher.shutdown_pool()
+        if self._draining and self.drained_clean:
+            # Fold the journal down while we are the last writer.
+            try:
+                self.queue.compact()
+            except Exception:
+                pass  # best effort: drain must still exit 0
         if self.drained_clean:
             self.queue.close()
         self.events.publish({

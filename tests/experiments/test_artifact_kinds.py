@@ -1,0 +1,117 @@
+"""The artifact-kind table's contract.
+
+:data:`~repro.experiments.runner.ARTIFACT_KINDS` is the one place that
+knows which artifacts exist, how each is keyed and how each is
+computed; every cell resolves through ``ExperimentContext.cell``.
+These tests pin what the rest of the pipeline relies on:
+
+* a cell has one value, whichever path produced it: in-process, a
+  pool worker, or a disk-cache replay;
+* the dependency closure the service's in-flight registry claims
+  (``Job.dependencies``) is exactly what computing a cold cell looks
+  up, so the claim and the compute chain cannot drift apart;
+* an experiment's assembly reads only the cells its ``jobs`` enumerated
+  (Figure 12's scheduler run, computed during assembly, aside).
+"""
+
+import pickle
+
+import pytest
+
+from repro.dvi.config import DVIConfig
+from repro.experiments import EXPERIMENTS, runner
+from repro.experiments.cache import ArtifactCache
+from repro.experiments.parallel import Job, execute
+from repro.experiments.pool import WarmPool
+from repro.experiments.runner import (
+    ARTIFACT_KINDS,
+    ExperimentContext,
+    ExperimentProfile,
+)
+from repro.sim.config import MachineConfig
+
+TINY = ExperimentProfile.tiny()
+
+#: One cell of every standard kind.
+CELLS = {
+    "binary": Job("binary", "li_like"),
+    "trace": Job("trace", "li_like", dvi=DVIConfig.idvi_only()),
+    "functional": Job("functional", "li_like", dvi=DVIConfig.none(),
+                      live_hist=True),
+    "timed": Job("timed", "li_like", dvi=DVIConfig.none(),
+                 machine=MachineConfig.micro97().with_phys_regs(42)),
+}
+
+
+def _bytes(value):
+    return pickle.dumps(value, protocol=pickle.HIGHEST_PROTOCOL)
+
+
+def test_every_standard_kind_has_a_cell_here():
+    assert set(CELLS) == set(ARTIFACT_KINDS)
+
+
+class TestOneValuePerCell:
+    @pytest.fixture(scope="class")
+    def pooled(self):
+        """Every cell computed by pool workers, merged into one context."""
+        with WarmPool(2) as pool:
+            context = ExperimentContext(TINY, pool=pool)
+            execute(list(CELLS.values()), context).check()
+        return context
+
+    @pytest.mark.parametrize("kind", sorted(CELLS))
+    def test_in_process_pool_and_replay_agree(self, kind, pooled, tmp_path):
+        cell = CELLS[kind]
+        local = ExperimentContext(TINY).cell(cell)
+
+        assert pooled.holds(cell)
+        assert _bytes(pooled.cell(cell)) == _bytes(local)
+
+        ExperimentContext(TINY, cache=ArtifactCache(tmp_path)).cell(cell)
+        reader = ExperimentContext(TINY, cache=ArtifactCache(tmp_path))
+        replayed = reader.cell(cell)
+        assert reader.cache.misses() == 0
+        assert reader.cache.hits(kind) == 1
+        assert _bytes(replayed) == _bytes(local)
+
+
+class TestDependencyClosureIsTheComputeChain:
+    @pytest.mark.parametrize("kind", sorted(CELLS))
+    def test_cold_cell_looks_up_itself_and_its_dependencies(
+        self, kind, tmp_path
+    ):
+        cell = CELLS[kind]
+        cache = ArtifactCache(tmp_path)
+        ExperimentContext(TINY, cache=cache).cell(cell)
+        expected = [cell.kind] + [dep.kind for dep in cell.dependencies()]
+        assert sorted(cache.counters) == sorted(expected)
+        for counter in cache.counters.values():
+            assert (counter.hits, counter.misses, counter.stores) == (0, 1, 1)
+
+
+@pytest.fixture(scope="module")
+def shared_cache(tmp_path_factory):
+    """One disk cache for every experiment's cells (cold only once)."""
+    return tmp_path_factory.mktemp("assembly-cache")
+
+
+@pytest.mark.parametrize("name", list(EXPERIMENTS))
+def test_assembly_reads_only_enumerated_cells(name, shared_cache,
+                                              monkeypatch):
+    module, _ = EXPERIMENTS[name]
+    context = ExperimentContext(TINY, cache=ArtifactCache(shared_cache))
+    execute(module.jobs(TINY), context).check()
+    context.cache.counters = {}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError(f"{name} assembly ran a simulation")
+
+    monkeypatch.setattr(runner, "run_program", forbidden)
+    monkeypatch.setattr(runner, "simulate", forbidden)
+    module.run(TINY, context)
+    looked_up = {
+        kind for kind, counter in context.cache.counters.items()
+        if counter.hits or counter.misses
+    }
+    assert looked_up <= ({"fig12_scheduler"} if name == "fig12" else set())

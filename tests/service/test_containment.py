@@ -437,6 +437,34 @@ class TestDrainInProcess:
         queue.close()
 
 
+def _pool_worker_pids(parent: int):
+    """PIDs of ``parent``'s spawn-pool worker processes, from /proc."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        ppid = int(stat.rsplit(")", 1)[1].split()[1])
+        if ppid == parent and b"spawn_main" in cmdline:
+            pids.append(int(entry))
+    return pids
+
+
+def _running(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has already died)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False
+
+
 class TestSigtermSubprocess:
     def test_sigterm_during_active_batch_exits_zero_and_demotes(
         self, tmp_path
@@ -444,8 +472,9 @@ class TestSigtermSubprocess:
         """The acceptance scenario, against a real ``repro serve``
         process: SIGTERM while a batch is wedged on a hung worker →
         exit 0 within the drain grace, submissions during the drain get
-        503 + Retry-After, and replay shows the job queued (demoted),
-        not running or lost."""
+        503 + Retry-After, the hung pool worker dies with the server
+        instead of being orphaned, and replay shows the job queued
+        (demoted, no attempt charged), not running or lost."""
         plan = arm_faults(
             tmp_path, {timed_signature(PAYLOAD): hang(hang_seconds=15.0)}
         )
@@ -461,6 +490,7 @@ class TestSigtermSubprocess:
             env=env, cwd="/root/repo",
             stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
         )
+        workers = []
         try:
             line = process.stdout.readline().strip()
             assert line.startswith("serving on "), line
@@ -476,6 +506,8 @@ class TestSigtermSubprocess:
                 time.sleep(0.05)
             else:
                 pytest.fail("batch never started")
+            workers = _pool_worker_pids(process.pid)
+            assert workers, "the serve process has no pool workers"
 
             started = time.monotonic()
             process.send_signal(signal.SIGTERM)
@@ -501,17 +533,28 @@ class TestSigtermSubprocess:
             # Exit came within the grace window plus teardown slack,
             # not after the 60 s job deadline or the 15 s hang.
             assert time.monotonic() - started < 12.0
+            # The hung worker holds both ends of its call-queue pipe, so
+            # only the server's shutdown kill ends it.
+            gone_by = time.monotonic() + 5.0
+            while any(map(_running, workers)) and time.monotonic() < gone_by:
+                time.sleep(0.05)
+            assert not [pid for pid in workers if _running(pid)]
         finally:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=10.0)
             process.stdout.close()
+            for pid in workers:
+                if _running(pid):
+                    os.kill(pid, signal.SIGKILL)  # never leak a failure's orphan
 
         replayed = JobQueue(queue_dir)
         try:
             job = replayed.get(receipt["id"])
             assert job is not None, "job lost across the drain"
             assert job.state is JobState.QUEUED
+            # The shutdown kill is not charged as a failed attempt.
+            assert job.attempts == 0
             assert replayed.running_jobs() == []
         finally:
             replayed.close()
