@@ -74,9 +74,10 @@ PROFILE ?= quick
 bench-perf:
 	$(PYTHON) benchmarks/perf/bench_simcore.py --profile $(PROFILE)
 
-## CI perf-smoke gate: quick simcore bench (superblocks on/off) plus a
-## byte-identity check — tiny-profile run-all manifests must be
-## identical with fused dispatch enabled and disabled.
+## CI perf-smoke gate: quick simcore bench (superblocks on/off, native
+## kernel vs Python core) plus two byte-identity checks — tiny-profile
+## run-all manifests must be identical with fused dispatch enabled and
+## disabled, and on the native timing kernel and on its Python oracle.
 bench-perf-smoke:
 	$(PYTHON) scripts/bench_perf_smoke.py
 

@@ -9,7 +9,14 @@ trajectory of the simulator is tracked in-tree, PR over PR:
 * **functional** — simulated instructions per second of the functional
   emulator, with and without trace collection;
 * **timing** — simulated instructions per second of the out-of-order
-  core replaying a trace on the Figure 2 machine;
+  core replaying a trace on the Figure 2 machine, through ``simulate``
+  (the native timing kernel wherever it loads), with the trace's
+  mispredict column already computed, as every cell after the first
+  on a trace finds it; ``mispredict_column_seconds`` is one column's
+  cost;
+* **timing_oracle** — the same for the Python core alone
+  (``OutOfOrderCore.run``, the kernel's oracle), with
+  ``kernel_over_oracle``, the throughput ratio;
 * **superblocks** — the compiled shape of the hot workload (blocks,
   mean block length) and fused-dispatch vs per-pc-dispatch throughput;
 * **run-all** — wall-clock seconds of ``python -m repro run-all`` on a
@@ -57,8 +64,14 @@ sys.path.insert(0, str(SRC))
 from repro.dvi.config import DVIConfig  # noqa: E402
 from repro.sim.config import MachineConfig  # noqa: E402
 from repro.sim.functional import run_program  # noqa: E402
-from repro.sim.ooo.core import simulate  # noqa: E402
+from repro.sim.ooo.core import OutOfOrderCore, simulate  # noqa: E402
 from repro.workloads.suite import get_program  # noqa: E402
+
+try:  # the native kernel landed after the Python core; keep this
+    # harness droppable onto older trees (its column cost is skipped).
+    from repro.sim.ooo.native import mispredict_column  # noqa: E402
+except ImportError:  # pragma: no cover - baseline revisions only
+    mispredict_column = None
 
 try:  # superblocks landed after the specialization rewrite; keep this
     # harness droppable onto older trees (the dimension is just skipped).
@@ -100,16 +113,18 @@ def bench_functional(*, collect_trace: bool) -> dict:
     }
 
 
-def bench_timing() -> dict:
+def bench_timing(engine) -> dict:
+    """Timing inst/s of ``engine(config, trace)`` on the Figure 2 machine."""
     program = get_program(HOT_WORKLOAD, 1)
     trace = run_program(program, DVIConfig.none(), collect_trace=True).trace
     config = MachineConfig.micro97()
     committed = 0
+    engine(config, trace)  # builds or loads the kernel, fills the memo
 
     def measure() -> float:
         nonlocal committed
         started = time.perf_counter()
-        stats = simulate(config, trace)
+        stats = engine(config, trace)
         elapsed = time.perf_counter() - started
         committed = stats.committed
         return elapsed
@@ -120,6 +135,21 @@ def bench_timing() -> dict:
         "seconds": round(elapsed, 4),
         "insts_per_sec": round(committed / elapsed),
     }
+
+
+def bench_mispredict_column() -> float:
+    """Seconds to compute one trace's mispredict column."""
+    program = get_program(HOT_WORKLOAD, 1)
+    trace = run_program(program, DVIConfig.none(), collect_trace=True).trace
+    config = MachineConfig.micro97()
+
+    def measure() -> float:
+        trace._mispredicts = None
+        started = time.perf_counter()
+        mispredict_column(trace, config)
+        return time.perf_counter() - started
+
+    return round(_best(measure), 4)
 
 
 def bench_superblocks() -> dict:
@@ -256,7 +286,19 @@ def main(argv=None) -> int:
     print("benchmarking functional emulator (trace off)...", flush=True)
     metrics["functional_no_trace"] = bench_functional(collect_trace=False)
     print("benchmarking out-of-order timing core...", flush=True)
-    metrics["timing"] = bench_timing()
+    metrics["timing"] = bench_timing(simulate)
+    print("benchmarking its Python oracle...", flush=True)
+    metrics["timing_oracle"] = bench_timing(
+        lambda config, trace: OutOfOrderCore(config, trace).run()
+    )
+    metrics["timing_oracle"]["kernel_over_oracle"] = round(
+        metrics["timing"]["insts_per_sec"]
+        / metrics["timing_oracle"]["insts_per_sec"], 1
+    )
+    if mispredict_column is not None:
+        metrics["timing"]["mispredict_column_seconds"] = (
+            bench_mispredict_column()
+        )
     if compile_program is not None:
         print("benchmarking superblock dispatch (fused vs per-pc)...",
               flush=True)

@@ -1,19 +1,27 @@
 #!/usr/bin/env python
-"""CI perf-smoke gate: superblock dispatch must be fast-path, not a fork.
+"""CI perf-smoke gate: the fast paths must engage and change no output.
 
-Two checks, both quick enough for every CI run:
+Three checks, quick enough for every CI run:
 
 1. **Bench harness runs** — ``bench_simcore.py --skip-run-all`` on a
-   scratch output, which measures the hot loops *and* the superblocks
-   dimension (fused vs per-pc dispatch on the same workload).  The
-   numbers are informational — CI boxes are too noisy to gate on — but
-   the section must exist and report compiled blocks, or superblock
-   compilation silently stopped engaging.
+   scratch output, which measures the hot loops, the native timing
+   kernel against its Python oracle, *and* the superblocks dimension
+   (fused vs per-pc dispatch on the same workload).  The numbers are
+   informational — CI boxes are too noisy to gate on — but the sections
+   must exist and report compiled blocks, or superblock compilation
+   silently stopped engaging.
 
-2. **Byte-identity** — ``run-all`` on the tiny profile with superblocks
-   enabled and disabled (``REPRO_SUPERBLOCKS=0``), fresh cache dirs,
-   JSON manifests compared byte for byte.  Fused dispatch is an
-   optimization, not a semantic: any divergence fails the build.
+2. **Superblock byte-identity** — ``run-all`` on the tiny profile with
+   superblocks enabled and disabled (``REPRO_SUPERBLOCKS=0``), fresh
+   cache dirs, JSON manifests compared byte for byte.  Fused dispatch
+   is an optimization, not a semantic: any divergence fails the build.
+
+3. **Kernel byte-identity** — the same tiny ``run-all``, in this
+   process, once on the native timing kernel and once with
+   ``repro.experiments.runner.simulate`` swapped for the Python core
+   (the kernel's oracle).  The manifests must be byte-identical, and
+   the kernel must have loaded, so the check proves it is the path that
+   ran.
 
 Usage::
 
@@ -23,6 +31,8 @@ Usage::
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -60,7 +70,9 @@ def check_bench_harness(tmp: Path) -> None:
         raise SystemExit("FAIL: superblock compiler produced zero blocks")
     print(f"bench ok: {section['blocks_compiled']} blocks, "
           f"mean len {section['mean_block_len']}, "
-          f"fused/per-pc = {section['fused_over_per_pc']}x")
+          f"fused/per-pc = {section['fused_over_per_pc']}x, "
+          f"kernel/oracle = "
+          f"{report['metrics']['timing_oracle']['kernel_over_oracle']}x")
 
 
 def check_byte_identity(tmp: Path) -> None:
@@ -84,11 +96,54 @@ def check_byte_identity(tmp: Path) -> None:
           "identical with superblocks on and off")
 
 
+def check_kernel_matches_oracle(tmp: Path) -> None:
+    sys.path.insert(0, SRC)
+    from repro.__main__ import main as cli
+    from repro.experiments import runner
+    from repro.sim.ooo import native
+    from repro.sim.ooo.core import OutOfOrderCore
+
+    if native.KERNEL.load() is None:
+        raise SystemExit(
+            f"FAIL: the native timing kernel did not load: {native.KERNEL.reason}"
+        )
+    kernel = runner.simulate
+    engines = {
+        "kernel": kernel,
+        "oracle": lambda config, trace: OutOfOrderCore(config, trace).run(),
+    }
+    outputs = {}
+    for engine, simulate in engines.items():
+        out_json = tmp / f"run_all_{engine}.json"
+        runner.simulate = simulate
+        try:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                status = cli([
+                    "run-all", "--profile", "tiny",
+                    "--cache-dir", str(tmp / f"cache_{engine}"),
+                    "--json", str(out_json),
+                ])
+        finally:
+            runner.simulate = kernel
+        if status != 0:
+            raise SystemExit(f"FAIL: run-all on the {engine} exited {status}")
+        outputs[engine] = out_json.read_bytes()
+    if outputs["kernel"] != outputs["oracle"]:
+        raise SystemExit(
+            "FAIL: run-all manifest on the native timing kernel differs from "
+            "the Python core's - the kernel has diverged from its oracle"
+        )
+    print(f"kernel byte-identity ok: {len(outputs['kernel'])} manifest bytes "
+          "identical on the native kernel and on the Python core")
+
+
 def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-perf-smoke-") as tmp:
         tmp_path = Path(tmp)
         check_bench_harness(tmp_path)
         check_byte_identity(tmp_path)
+        check_kernel_matches_oracle(tmp_path)
     print("bench-perf-smoke: PASS")
     return 0
 

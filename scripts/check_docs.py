@@ -54,6 +54,9 @@ DESIGN_REQUIRED = (
     # The one table of artifact kinds and its one resolve path.
     "artifact-kind table",
     "resolve path",
+    # The C timing kernel and the column that keeps prediction in Python.
+    "native timing kernel",
+    "mispredict column",
     # Superinstruction compilation + the one persistent worker pool.
     "superinstruction",
     "fused",

@@ -109,11 +109,12 @@ def fingerprint(*parts: Any) -> str:
 
 @lru_cache(maxsize=1)
 def code_version() -> str:
-    """Digest of every ``.py`` source file under ``src/repro``.
+    """Digest of every ``.py`` and ``.c`` source file under ``src/repro``.
 
     Baked into every cache key so that editing *any* simulator, workload,
-    or experiment source invalidates previously stored artifacts — the
-    coarse-but-safe invalidation rule DESIGN.md motivates.  The
+    or experiment source — the native timing kernel included —
+    invalidates previously stored artifacts: the coarse-but-safe
+    invalidation rule DESIGN.md motivates.  The
     superblock codegen version is folded in explicitly: the generated
     superinstruction bodies are not source files on disk, so a codegen
     change must bump :data:`repro.sim.compile.SUPERBLOCK_VERSION` to be
@@ -123,7 +124,8 @@ def code_version() -> str:
 
     package_root = Path(__file__).resolve().parents[1]
     digest = hashlib.sha256()
-    for path in sorted(package_root.rglob("*.py")):
+    sources = [*package_root.rglob("*.py"), *package_root.rglob("*.c")]
+    for path in sorted(sources):
         digest.update(str(path.relative_to(package_root)).encode("utf-8"))
         digest.update(b"\0")
         digest.update(path.read_bytes())

@@ -24,7 +24,8 @@ only ever receive it.
   along the way, each cell at most ``O(log batch)`` re-submissions — and
   re-running an already-completed cell is a cache hit).  Re-runs and
   halves run on a *private* :class:`WarmPool`, so isolating poison never
-  kills the shared pool under another caller's futures.
+  kills the shared pool under another caller's futures; the shared pool
+  opens it and kills it when it is itself shut down.
 
 The returned :class:`~repro.experiments.parallel.ExecuteReport` maps
 every cell that produced no result to a
@@ -48,6 +49,7 @@ import multiprocessing
 import os
 import threading
 import time
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -185,16 +187,19 @@ def _warm_worker_init(
     the parent's cache configuration (local root plus any shared tier),
     so worker-computed artifacts land where the parent's own stores
     would.  The imports pull in the workload suite, the experiment
-    registry, and both simulation engines, so the first submitted cell
-    starts computing immediately instead of paying the import graph.
+    registry, both simulation engines and the native timing kernel, so
+    the first submitted cell starts computing immediately instead of
+    paying the import graph or the kernel's load.
     """
     global _WARM_CACHE_FACTORY
     _WARM_CACHE_FACTORY = cache_factory
     import repro.experiments  # noqa: F401  (experiment directory)
     import repro.experiments.sweep  # noqa: F401  (sweep assembly)
     import repro.sim.compile  # noqa: F401  (superblock compiler)
-    import repro.sim.ooo.core  # noqa: F401  (timing engine)
     import repro.workloads.suite  # noqa: F401  (workload programs)
+    from repro.sim.ooo import native
+
+    native.KERNEL.load()  # the timing kernel, built or loaded once
 
 
 def _warm_probe() -> int:
@@ -270,6 +275,9 @@ class WarmPool:
         self._lock = threading.Lock()
         #: Set by :meth:`shutdown`; a closed pool never spawns again.
         self.closed = False
+        #: Private pools opened through :meth:`private`, shut down with
+        #: this one.
+        self._privates: "weakref.WeakSet[WarmPool]" = weakref.WeakSet()
         self.reuses = 0
         self.rebuilds = 0
         self.warmup_seconds = 0.0
@@ -347,6 +355,21 @@ class WarmPool:
             })
         _kill_pool(pool)
 
+    def private(self, max_workers: int) -> Optional["WarmPool"]:
+        """A private pool for one batch's re-runs, owned by this pool.
+
+        Created under this pool's lock, so it is refused (``None``) once
+        this pool is closed, and :meth:`shutdown` kills it along with
+        this pool's own workers.  The caller shuts it down when its
+        batch ends.
+        """
+        with self._lock:
+            if self.closed:
+                return None
+            private = WarmPool(max_workers, self.cache_factory)
+            self._privates.add(private)
+            return private
+
     def shutdown(self) -> None:
         """Final teardown (owner exit); not counted as a rebuild.
 
@@ -354,14 +377,18 @@ class WarmPool:
         drain one may be wedged in a hung cell, and a worker holds both
         ends of its call-queue pipe, so it would outlive its owner.  The
         pool is closed for good, so a batch still running on it cannot
-        spawn workers nobody would kill.
+        spawn workers nobody would kill, and every private pool opened
+        through it is shut down too.
         """
         with self._lock:
             self.closed = True
             pool = self._pool
             self._pool = None
+            privates = list(self._privates)
         if pool is not None:
             _kill_pool(pool)
+        for private in privates:
+            private.shutdown()
 
     def snapshot(self) -> dict:
         """Lifecycle counters for ``/v1/stats`` (stable key order)."""
@@ -421,7 +448,11 @@ def _run_group(
     crashed = False
     killed = False
     futures: List[Tuple[Job, Any]] = []
-    executor = pool.acquire()
+    try:
+        executor = pool.acquire()
+    except RuntimeError:
+        # The pool was shut down under this batch: no cell ran.
+        return results, errors, hung, list(group), False
     try:
         # Submit one at a time, retaining every future already placed: a
         # warm worker is already up, so a poison cell submitted early can
@@ -502,16 +533,24 @@ def run_contained(
 
     The first group runs on the shared pool.  A crash or hang
     invalidates it; bisection halves and innocent victims then run on
-    one private pool (isolating poison must not keep killing the shared
-    one), and the shared pool is re-warmed before returning so the next
-    batch finds it live.  Once the shared pool is closed, no group
-    runs: its unfinished cells fail as ``shutdown``.
+    one private pool opened through the shared one (isolating poison
+    must not keep killing the shared pool), and the shared pool is
+    re-warmed before returning so the next batch finds it live.  Once
+    the shared pool is closed, which also kills the private pool, no
+    group runs: the unfinished cells fail as ``shutdown``.
     """
     shared = context.pool
     report = ExecuteReport()
     private: Optional[WarmPool] = None
     pool = shared
     groups: List[List[Job]] = [cells]
+
+    def shut_out(unfinished: List[Job]) -> None:
+        for cell in unfinished:
+            report.failures[cell.signature()] = CellFailure(
+                cell, "shutdown", "the worker pool was shut down",
+            )
+
     try:
         while groups:
             group = groups.pop(0)
@@ -541,10 +580,7 @@ def run_contained(
                 # The owner shut the pool down under this batch (an
                 # unclean drain).  A re-run or a bisection would spawn
                 # workers nobody kills, so the unfinished cells fail.
-                for cell in leftover + [c for rest in groups for c in rest]:
-                    report.failures[cell.signature()] = CellFailure(
-                        cell, "shutdown", "the worker pool was shut down",
-                    )
+                shut_out(leftover + [c for rest in groups for c in rest])
                 break
             if crashed:
                 report.pool_crashes += 1
@@ -572,9 +608,11 @@ def run_contained(
                 # whole.
                 groups.append(leftover)
             if groups and private is None:
-                private = pool = WarmPool(
-                    min(shared.max_workers, len(cells)), shared.cache_factory
-                )
+                private = shared.private(min(shared.max_workers, len(cells)))
+                if private is None:  # closed since the check above
+                    shut_out([c for rest in groups for c in rest])
+                    break
+                pool = private
     finally:
         if private is not None:
             private.shutdown()

@@ -47,6 +47,10 @@ bound method and config limit is hoisted to a local.  All counters are
 folded back into the renamer/stats objects when the loop exits, so the
 externally observable results are identical to the per-stage-method
 formulation this replaced.
+
+This loop is the oracle of the native timing kernel (``kernel.c``, run
+by :mod:`repro.sim.ooo.native`), which :func:`simulate` runs whenever it
+loaded: a change to one without the other fails the golden grid.
 """
 
 from __future__ import annotations
@@ -59,6 +63,7 @@ from repro.sim.branch.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.sim.branch.predictors import build_predictor
 from repro.sim.cache.hierarchy import MemoryHierarchy
 from repro.sim.config import MachineConfig
+from repro.sim.ooo import native
 from repro.sim.ooo.renamer import NEVER, Renamer
 from repro.sim.ooo.stats import PipelineStats
 from repro.sim.trace import (
@@ -684,5 +689,15 @@ class OutOfOrderCore:
 def simulate(
     config: MachineConfig, trace: Trace, *, check_invariants: bool = False
 ) -> PipelineStats:
-    """Convenience wrapper: run one trace through one configuration."""
+    """Run one trace through one configuration.
+
+    Runs the native kernel (:mod:`repro.sim.ooo.native`) whenever it
+    loaded and ``check_invariants`` is false; otherwise this module's
+    :class:`OutOfOrderCore`, the kernel's oracle, which gives identical
+    statistics.
+    """
+    if not check_invariants:
+        stats = native.simulate(config, trace)
+        if stats is not None:
+            return stats
     return OutOfOrderCore(config, trace).run(check_invariants=check_invariants)

@@ -197,7 +197,7 @@ class Trace:
         "program_name", "dvi", "completed",
         "pcs", "addrs", "next_pcs", "free_masks", "flags",
         "s_op", "s_cls", "s_dst", "s_srcs",
-        "_rows", "_program_insts", "_hot", "_replay",
+        "_rows", "_program_insts", "_hot", "_replay", "_mispredicts",
     )
 
     def __init__(
@@ -214,6 +214,9 @@ class Trace:
         self._program_insts: Optional[int] = None
         self._hot: Optional[tuple] = None
         self._replay: Optional[list] = None
+        #: Mispredict columns by predictor configuration (owned by
+        #: :func:`repro.sim.ooo.native.mispredict_column`; never pickled).
+        self._mispredicts: Optional[dict] = None
         self._clear_columns()
         if records:
             self._encode_records(records)
@@ -269,6 +272,7 @@ class Trace:
         self._program_insts = None
         self._hot = None
         self._replay = None
+        self._mispredicts = None
         n_static = 1 + max((r.pc for r in records), default=-1)
         s_op = array("b", [-1]) * n_static
         s_cls = array("b", [-1]) * n_static
@@ -466,6 +470,7 @@ class Trace:
         self._program_insts = None
         self._hot = None
         self._replay = None
+        self._mispredicts = None
         self.program_name = state["program_name"]
         self.dvi = state["dvi"]
         self.completed = state.get("completed", True)

@@ -269,12 +269,15 @@ class TestParallelEqualsSerial:
 class TestSerialImportsNoPool:
     def test_cli_import_loads_no_process_pool(self):
         """``--jobs 1`` never creates a pool, so importing the CLI must
-        not pay for the process-pool machinery either."""
+        not pay for the process-pool machinery either; nor for the
+        native kernel's loader (``ctypes``, and ``subprocess`` for the
+        build), which the first simulation imports."""
         src = Path(__file__).resolve().parents[2] / "src"
         probe = subprocess.run(
             [sys.executable, "-c",
              "import sys, repro.__main__; print(sorted("
-             "{'multiprocessing', 'concurrent.futures.process'}"
+             "{'multiprocessing', 'concurrent.futures.process',"
+             " 'ctypes', 'subprocess'}"
              " & set(sys.modules)))"],
             env=dict(os.environ, PYTHONPATH=str(src)),
             capture_output=True, text=True, check=True,

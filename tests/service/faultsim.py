@@ -42,7 +42,10 @@ from repro.experiments.runner import ExperimentProfile
 from repro.service.dispatcher import _spec_for, normalize_request
 from repro.experiments.pool import FAULTSIM_ENV, fault_fires
 
-__all__ = ["FaultPlan", "arm_faults", "kill", "hang", "raise_", "timed_signature"]
+__all__ = [
+    "FaultPlan", "arm_faults", "kill", "hang", "pool_worker_pids", "raise_",
+    "running_pid", "timed_signature",
+]
 
 
 def timed_signature(payload: dict) -> str:
@@ -133,3 +136,31 @@ def arm_faults(tmp_dir, faults: Dict[str, dict]) -> FaultPlan:
         "faults": faults,
     }), encoding="utf-8")
     return FaultPlan(str(spec_path))
+
+
+def pool_worker_pids(parent: int):
+    """PIDs of ``parent``'s spawn-pool worker processes, from /proc."""
+    pids = []
+    for entry in os.listdir("/proc"):
+        if not entry.isdigit():
+            continue
+        try:
+            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
+                stat = handle.read()
+            with open(f"/proc/{entry}/cmdline", "rb") as handle:
+                cmdline = handle.read()
+        except OSError:
+            continue  # exited while we looked
+        ppid = int(stat.rsplit(")", 1)[1].split()[1])
+        if ppid == parent and b"spawn_main" in cmdline:
+            pids.append(int(entry))
+    return pids
+
+
+def running_pid(pid: int) -> bool:
+    """Whether ``pid`` is a live process (a zombie has already died)."""
+    try:
+        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
+            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except OSError:
+        return False

@@ -35,7 +35,9 @@ from repro.service.dispatcher import (
 from repro.service.queue import JobQueue, JobState, TransitionError
 from repro.service.server import ServerThread
 
-from faultsim import arm_faults, hang, timed_signature
+from faultsim import (
+    arm_faults, hang, pool_worker_pids, running_pid, timed_signature,
+)
 
 REQ = {"kind": "sweep", "axis": "regfile", "values": [34],
        "workloads": ["li_like"], "profile": "tiny"}
@@ -437,34 +439,6 @@ class TestDrainInProcess:
         queue.close()
 
 
-def _pool_worker_pids(parent: int):
-    """PIDs of ``parent``'s spawn-pool worker processes, from /proc."""
-    pids = []
-    for entry in os.listdir("/proc"):
-        if not entry.isdigit():
-            continue
-        try:
-            with open(f"/proc/{entry}/stat", encoding="utf-8") as handle:
-                stat = handle.read()
-            with open(f"/proc/{entry}/cmdline", "rb") as handle:
-                cmdline = handle.read()
-        except OSError:
-            continue  # exited while we looked
-        ppid = int(stat.rsplit(")", 1)[1].split()[1])
-        if ppid == parent and b"spawn_main" in cmdline:
-            pids.append(int(entry))
-    return pids
-
-
-def _running(pid: int) -> bool:
-    """Whether ``pid`` is a live process (a zombie has already died)."""
-    try:
-        with open(f"/proc/{pid}/stat", encoding="utf-8") as handle:
-            return handle.read().rsplit(")", 1)[1].split()[0] != "Z"
-    except OSError:
-        return False
-
-
 class TestSigtermSubprocess:
     def test_sigterm_during_active_batch_exits_zero_and_demotes(
         self, tmp_path
@@ -506,7 +480,7 @@ class TestSigtermSubprocess:
                 time.sleep(0.05)
             else:
                 pytest.fail("batch never started")
-            workers = _pool_worker_pids(process.pid)
+            workers = pool_worker_pids(process.pid)
             assert workers, "the serve process has no pool workers"
 
             started = time.monotonic()
@@ -536,16 +510,16 @@ class TestSigtermSubprocess:
             # The hung worker holds both ends of its call-queue pipe, so
             # only the server's shutdown kill ends it.
             gone_by = time.monotonic() + 5.0
-            while any(map(_running, workers)) and time.monotonic() < gone_by:
+            while any(map(running_pid, workers)) and time.monotonic() < gone_by:
                 time.sleep(0.05)
-            assert not [pid for pid in workers if _running(pid)]
+            assert not [pid for pid in workers if running_pid(pid)]
         finally:
             if process.poll() is None:
                 process.kill()
                 process.wait(timeout=10.0)
             process.stdout.close()
             for pid in workers:
-                if _running(pid):
+                if running_pid(pid):
                     os.kill(pid, signal.SIGKILL)  # never leak a failure's orphan
 
         replayed = JobQueue(queue_dir)

@@ -14,20 +14,28 @@ its own, and CI runs it next to ``test-crashsim``.
 import os
 import subprocess
 import sys
+import threading
+import time
 from pathlib import Path
 
 import pytest
 
+from repro.dvi.config import DVIConfig
 from repro.experiments.cache import ArtifactCache
+from repro.experiments.pool import WarmPool, run_contained
+from repro.experiments.runner import ExperimentContext, ExperimentProfile, Job
 from repro.service.client import get_stats, poll_job, submit_job
 from repro.service.queue import JobQueue, JobState
 from repro.service.server import ServerThread
+from repro.sim.config import MachineConfig
 
 from faultsim import (
     arm_faults,
     hang,
     kill,
+    pool_worker_pids,
     raise_,
+    running_pid,
     timed_signature,
 )
 
@@ -278,3 +286,59 @@ class TestNoFaults:
         assert containment["quarantined"] == 0
         assert containment["timeouts"] == 0
         assert containment["pool_crashes"] == 0
+
+
+class TestShutdownReachesPrivatePool:
+    def test_shutdown_kills_a_bisection_pool_mid_hang(self, tmp_path):
+        """Shutting the shared pool down while a batch hangs on its
+        private bisection pool kills that pool's workers at once, fails
+        the unfinished cell as ``shutdown`` and lets ``run_contained``
+        return, instead of leaving the worker hung until the deadline.
+
+        One worker makes the order exact: the kill cell breaks the
+        shared pool before the hang cell starts, bisection isolates the
+        kill on the private pool, and the hang then runs there."""
+        poison, hung = (
+            Job("timed", "li_like", dvi=DVIConfig.none(),
+                machine=MachineConfig.micro97().with_phys_regs(size))
+            for size in (40, 44)
+        )
+        plan = arm_faults(tmp_path, {
+            poison.signature(): kill(),
+            hung.signature(): hang(hang_seconds=120.0),
+        })
+        with plan:
+            shared = WarmPool(1)
+            context = ExperimentContext(
+                ExperimentProfile.tiny(),
+                cache=ArtifactCache(tmp_path / "cache"), pool=shared,
+            )
+            reports = []
+            batch = threading.Thread(target=lambda: reports.append(
+                run_contained([poison, hung], context, job_timeout=60.0)
+            ))
+            batch.start()
+            try:
+                deadline = time.monotonic() + 60.0
+                while (plan.fires(hung.signature()) == 0
+                       and time.monotonic() < deadline):
+                    time.sleep(0.05)
+                assert plan.fires(hung.signature()) == 1
+                workers = pool_worker_pids(os.getpid())
+                assert workers, "the hung cell's worker is not running"
+                shared.shutdown()
+                gone_by = time.monotonic() + 5.0
+                while (any(map(running_pid, workers))
+                       and time.monotonic() < gone_by):
+                    time.sleep(0.05)
+                assert not [pid for pid in workers if running_pid(pid)]
+                batch.join(timeout=10.0)
+                assert not batch.is_alive(), "run_contained did not return"
+            finally:
+                shared.shutdown()
+                for pid in pool_worker_pids(os.getpid()):
+                    os.kill(pid, 9)  # never leak a failure's orphan
+                batch.join(timeout=60.0)
+        failures = reports[0].failures
+        assert failures[poison.signature()].kind == "crash"
+        assert failures[hung.signature()].kind == "shutdown"
