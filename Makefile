@@ -1,7 +1,7 @@
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH))
 
-.PHONY: test test-crashsim test-faultsim lint smoke smoke-replay service-smoke service-smoke-workers service-smoke-pool shard-smoke events-smoke docs-check bench bench-perf bench-perf-smoke bench-service bench-load bench-load-smoke clean-cache
+.PHONY: test test-crashsim test-faultsim lint smoke smoke-replay service-smoke service-smoke-pool shard-smoke events-smoke docs-check bench bench-perf bench-perf-smoke bench-service bench-load bench-load-smoke clean-cache
 
 ## Tier-1 test suite.
 test:
@@ -37,10 +37,6 @@ smoke-replay:
 ## verify the response against the cached artifact and the warm path.
 service-smoke:
 	$(PYTHON) scripts/service_smoke.py
-
-## The same smoke against a 4-worker sharded dispatcher.
-service-smoke-workers:
-	$(PYTHON) scripts/service_smoke.py --workers 4
 
 ## The same smoke with every cell on the server's persistent spawn pool.
 service-smoke-pool:

@@ -86,7 +86,7 @@ def bench_mixed(tmp: Path, clients: int, jobs_each: int, warm_ratio: float,
     """The headline phase: seeded mixed traffic, closed loop."""
     with ServerThread(
         tmp / "mixed-queue", tmp / "mixed-cache",
-        workers=2, max_batch=8, quota=64, max_queue_depth=512,
+        max_batch=8, quota=64, max_queue_depth=512,
     ) as service:
         result = run_load(
             service.url,
@@ -104,7 +104,7 @@ def bench_overload(tmp: Path, clients: int, jobs_each: int,
     """Sustained overload: cold-heavy fire-and-forget vs a tight quota."""
     with ServerThread(
         tmp / "over-queue", tmp / "over-cache",
-        workers=2, max_batch=8, quota=4,
+        max_batch=8, quota=4,
     ) as service:
         result = run_load(
             service.url,

@@ -13,10 +13,7 @@ core's):
 * **cold batch latency** — wall-clock seconds from first HTTP submit to
   result for a tiny sweep against an empty cache (queue + dispatch +
   simulate + assemble + store), and for a fan-out of distinct sweeps
-  submitted together — once fused into one dispatcher batch
-  (``workers=1``) and once sharded across four concurrent dispatch
-  workers (``workers=4``, ``max_batch=1``), so the report tracks the
-  scale-out dimension alongside the serial baseline;
+  submitted together;
 * **fault-containment overhead** — the same cold single job and warm
   round trips with ``--job-timeout`` armed (per-cell deadlines, job
   leases, containment bookkeeping), so the report tracks what the
@@ -121,40 +118,6 @@ def bench_cold(tmp: Path) -> dict:
         "fanout_seconds": round(fanout, 3),
         "fanout_batches": stats["batches"],
         "cells_executed": stats["cells_executed"],
-    }
-
-
-def bench_cold_sharded(tmp: Path, workers: int) -> dict:
-    """The same cold fan-out, sharded across concurrent dispatch workers.
-
-    ``max_batch=1`` pins one job per batch so the fan-out exercises
-    ``workers`` truly concurrent batches instead of one fused one.
-    With ``jobs=1`` and no deadline the batches run in-process, the
-    service's default execution path.
-    """
-    with ServerThread(
-        tmp / f"shard{workers}-queue", tmp / f"shard{workers}-cache",
-        workers=workers, max_batch=1,
-    ) as service:
-        started = time.perf_counter()
-        with ThreadPoolExecutor(max_workers=len(FANOUT_VALUES)) as pool:
-            list(pool.map(
-                lambda value: submit_and_wait(
-                    service.url, _payload(value), client="bench",
-                    timeout=300.0,
-                ),
-                FANOUT_VALUES,
-            ))
-        fanout = time.perf_counter() - started
-        stats = get_stats(service.url)
-    dispatcher = stats["dispatcher"]
-    return {
-        "workers": workers,
-        "fanout_jobs": len(FANOUT_VALUES),
-        "fanout_seconds": round(fanout, 3),
-        "fanout_batches": dispatcher["batches"],
-        "overlapped_batches": dispatcher["overlapped_batches"],
-        "cells_executed": dispatcher["cells_executed"],
     }
 
 
@@ -365,10 +328,6 @@ def main() -> int:
         help="skip the serial cold section (its report key is preserved)",
     )
     parser.add_argument(
-        "--skip-sharded", action="store_true",
-        help="skip the sharded cold fan-out section",
-    )
-    parser.add_argument(
         "--skip-warm", action="store_true",
         help="skip the warm round-trip section",
     )
@@ -393,15 +352,6 @@ def main() -> int:
                   f"{cold['fanout_jobs']} distinct jobs in "
                   f"{cold['fanout_seconds']}s "
                   f"({cold['fanout_batches']} batches)")
-        if not args.skip_sharded:
-            print("cold: same fan-out, 4 dispatch workers ...", flush=True)
-            sharded = sections["cold_sharded"] = bench_cold_sharded(
-                tmp_path, workers=4
-            )
-            print(f"  {sharded['fanout_jobs']} distinct jobs in "
-                  f"{sharded['fanout_seconds']}s "
-                  f"({sharded['fanout_batches']} batches, "
-                  f"{sharded['overlapped_batches']} overlapped)")
         if not args.skip_warm:
             print(f"warm: {args.warm_requests} cache-hit round trips ...",
                   flush=True)

@@ -66,7 +66,7 @@ DESIGN_REQUIRED = (
     "warm worker pool",
     "rebuild",
     "contained executor",
-    "private for bisection",
+    "one batch at a time",
     "repro.experiments.pool",
     # Observability: event bus, spans, histograms, SSE backpressure.
     "event bus",

@@ -1,16 +1,14 @@
 #!/usr/bin/env python
 """Service smoke: serve, submit a tiny sweep over HTTP, verify, exit.
 
-What CI's service job runs (``make service-smoke``, again as
-``make service-smoke-workers`` with ``--workers 4`` to cover the
-sharded multi-worker drain, and as ``make service-smoke-pool`` with
-``--jobs 2 --job-timeout 120`` to run every cell on the server's
-persistent worker pool), end to end through the real CLI and real
-sockets:
+What CI's service job runs (``make service-smoke``, and again as
+``make service-smoke-pool`` with ``--jobs 2 --job-timeout 120`` to run
+every cell on the server's persistent worker pool), end to end through
+the real CLI and real sockets:
 
 1. start ``python -m repro serve --port 0`` as a subprocess (passing
-   ``--workers``, ``--jobs`` and ``--job-timeout`` through) and parse
-   the announced URL;
+   ``--jobs`` and ``--job-timeout`` through) and parse the announced
+   URL;
 2. submit a tiny sweep over HTTP and wait for the result;
 3. assert the served document is byte-identical to the artifact the
    cache stored under the job's ``result_key``;
@@ -55,7 +53,7 @@ def _spawn_server(cache_dir: str, queue_dir: str, args) -> tuple:
     )
     process = subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--port", "0",
-         "--workers", str(args.workers), "--jobs", str(args.jobs),
+         "--jobs", str(args.jobs),
          "--job-timeout", str(args.job_timeout),
          "--cache-dir", cache_dir, "--queue-dir", queue_dir],
         stdout=subprocess.PIPE, stderr=subprocess.DEVNULL,
@@ -81,12 +79,8 @@ def _spawn_server(cache_dir: str, queue_dir: str, args) -> tuple:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="dispatch workers for the served instance (default: 1)",
-    )
-    parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per dispatch worker (default: 1)",
+        help="worker processes for the served instance (default: 1)",
     )
     parser.add_argument(
         "--job-timeout", type=float, default=0, metavar="SECONDS",
@@ -100,7 +94,7 @@ def main() -> int:
         cache_dir = os.path.join(tmp, "cache")
         queue_dir = os.path.join(tmp, "queue")
         process, url = _spawn_server(cache_dir, queue_dir, args)
-        print(f"serving with --workers {args.workers} --jobs {args.jobs} "
+        print(f"serving with --jobs {args.jobs} "
               f"--job-timeout {args.job_timeout:g} at {url}")
         try:
             job, document = submit_and_wait(

@@ -12,7 +12,7 @@ Usage::
     python -m repro machine                   # print the Figure 2 table
     python -m repro sweep --axis predictor --workloads go,li
     python -m repro sweep --axis hierarchy --values micro97,compact
-    python -m repro serve --port 8742 --workers 4 --jobs 2   # service
+    python -m repro serve --port 8742 --jobs 2   # service
     python -m repro submit --url http://127.0.0.1:8742 --axis regfile
     python -m repro status --url http://127.0.0.1:8742
     python -m repro queue compact --url http://127.0.0.1:8742
@@ -319,15 +319,9 @@ def _serve_main(argv) -> int:
              "tiers only); routing and shard stats are unaffected",
     )
     parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="concurrent dispatch workers: batches are claimed atomically "
-             "and executed in parallel, overlapping the next batch's "
-             "grouping with the previous one's execution (default: 1)",
-    )
-    parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
-        help="worker processes per dispatch worker; above 1, batches "
-             "run on one persistent pool of jobs x workers processes "
+        help="worker processes for each batch's cells; above 1, batches "
+             "run on one persistent pool of N processes "
              "(default: 1, in-process)",
     )
     parser.add_argument(
@@ -391,8 +385,6 @@ def _serve_main(argv) -> int:
     args = parser.parse_args(argv)
     if args.jobs < 1:
         parser.error("--jobs must be >= 1")
-    if args.workers < 1:
-        parser.error("--workers must be >= 1")
     if args.compact_every < 0:
         parser.error("--compact-every must be >= 0")
     if args.quota < 0:
@@ -469,7 +461,7 @@ def _serve_main(argv) -> int:
         print(
             f"queue journal: {queue_dir}; cache: {cache_dir}; "
             f"{shard_note}"
-            f"workers: {args.workers}; jobs/batch: {args.jobs}; "
+            f"jobs/batch: {args.jobs}; "
             f"max batch: {args.max_batch}; "
             f"pool: {pool.max_workers if pool else 'none, in-process'}",
             file=sys.stderr, flush=True,
@@ -479,7 +471,6 @@ def _serve_main(argv) -> int:
         queue_dir, cache_dir,
         host=args.host, port=port,
         jobs=args.jobs, max_batch=args.max_batch,
-        workers=args.workers,
         compact_every=args.compact_every or None,
         quota=args.quota or None,
         max_queue_depth=args.max_queue_depth or None,
@@ -665,9 +656,7 @@ def _status_main(argv) -> int:
           f"{disp['jobs_failed']}")
     print(f"batches: {disp['batches']}  batched jobs: "
           f"{disp['batched_jobs']}  cells executed: "
-          f"{disp['cells_executed']}  inflight-deduped: "
-          f"{disp['cells_deduped_inflight']}  overlapped: "
-          f"{disp['overlapped_batches']}")
+          f"{disp['cells_executed']}")
     containment = stats.get("containment")
     if containment:
         deadline = containment["job_timeout"]
@@ -679,9 +668,9 @@ def _status_main(argv) -> int:
               f"breaker={'OPEN' if containment['breaker_open'] else 'closed'}"
               f"  (max attempts {containment['max_attempts']}, deadline "
               + (f"{deadline:g}s)" if deadline else "off)"))
-    print(f"workers: {workers['count']} ({workers['active']} active)  "
-          f"pool size: {workers['pool_size']}  max batch: "
-          f"{workers['max_batch']}  utilization: "
+    print(f"pool size: {workers['pool_size']}  max batch: "
+          f"{workers['max_batch']}  batch running: "
+          f"{'yes' if workers['active'] else 'no'}  utilization: "
           f"{workers['utilization']:.1%}")
     return 0
 

@@ -23,15 +23,14 @@ only ever receive it.
   is isolated in a singleton group (its healthy batchmates complete
   along the way, each cell at most ``O(log batch)`` re-submissions — and
   re-running an already-completed cell is a cache hit).  Re-runs and
-  halves run on a *private* :class:`WarmPool`, so isolating poison never
-  kills the shared pool under another caller's futures; the shared pool
-  opens it and kills it when it is itself shut down.
+  halves run on the same pool, respawned after each kill: its owner
+  runs one batch at a time, so no other caller's futures share it.
 
 The returned :class:`~repro.experiments.parallel.ExecuteReport` maps
 every cell that produced no result to a
 :class:`~repro.experiments.parallel.CellFailure` (``timeout`` /
-``crash`` / ``error``); the CLI raises on any, the dispatcher turns them
-into bounded retries or quarantine.
+``crash`` / ``error`` / ``shutdown``); the CLI raises on any, the
+dispatcher turns them into bounded retries or quarantine.
 
 Deterministic fault injection (the faultsim harness) rides the same
 zero-overhead pattern as the queue's crash failpoints: when the
@@ -49,7 +48,6 @@ import multiprocessing
 import os
 import threading
 import time
-import weakref
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as FutureTimeoutError
 from concurrent.futures.process import BrokenProcessPool
@@ -251,11 +249,9 @@ class WarmPool:
     * ``warmup_seconds`` — cumulative spawn+preload time paid, and
       ``last_warmup_seconds`` for the most recent (re)build.
 
-    Thread-safe: drain slots may acquire concurrently (submission to a
-    live executor is itself thread-safe); spawn/teardown serialize on
-    the lock.  A kill from one batch while another batch has futures
-    in flight resolves those futures to ``BrokenProcessPool``, which
-    the contained executor already treats as a batch-level crash.
+    Its owner runs one batch on it at a time.  Spawn and teardown
+    serialize on the lock, because :meth:`shutdown` may come from
+    another thread while a batch is running.
     """
 
     def __init__(
@@ -275,9 +271,6 @@ class WarmPool:
         self._lock = threading.Lock()
         #: Set by :meth:`shutdown`; a closed pool never spawns again.
         self.closed = False
-        #: Private pools opened through :meth:`private`, shut down with
-        #: this one.
-        self._privates: "weakref.WeakSet[WarmPool]" = weakref.WeakSet()
         self.reuses = 0
         self.rebuilds = 0
         self.warmup_seconds = 0.0
@@ -355,21 +348,6 @@ class WarmPool:
             })
         _kill_pool(pool)
 
-    def private(self, max_workers: int) -> Optional["WarmPool"]:
-        """A private pool for one batch's re-runs, owned by this pool.
-
-        Created under this pool's lock, so it is refused (``None``) once
-        this pool is closed, and :meth:`shutdown` kills it along with
-        this pool's own workers.  The caller shuts it down when its
-        batch ends.
-        """
-        with self._lock:
-            if self.closed:
-                return None
-            private = WarmPool(max_workers, self.cache_factory)
-            self._privates.add(private)
-            return private
-
     def shutdown(self) -> None:
         """Final teardown (owner exit); not counted as a rebuild.
 
@@ -377,18 +355,14 @@ class WarmPool:
         drain one may be wedged in a hung cell, and a worker holds both
         ends of its call-queue pipe, so it would outlive its owner.  The
         pool is closed for good, so a batch still running on it cannot
-        spawn workers nobody would kill, and every private pool opened
-        through it is shut down too.
+        spawn workers nobody would kill.
         """
         with self._lock:
             self.closed = True
             pool = self._pool
             self._pool = None
-            privates = list(self._privates)
         if pool is not None:
             _kill_pool(pool)
-        for private in privates:
-            private.shutdown()
 
     def snapshot(self) -> dict:
         """Lifecycle counters for ``/v1/stats`` (stable key order)."""
@@ -531,91 +505,72 @@ def run_contained(
     are absorbed into the context in cell order — the same
     deterministic merge as the in-process path.
 
-    The first group runs on the shared pool.  A crash or hang
-    invalidates it; bisection halves and innocent victims then run on
-    one private pool opened through the shared one (isolating poison
-    must not keep killing the shared pool), and the shared pool is
-    re-warmed before returning so the next batch finds it live.  Once
-    the shared pool is closed, which also kills the private pool, no
-    group runs: the unfinished cells fail as ``shutdown``.
+    Every group runs on ``context.pool``.  A crash or hang invalidates
+    it, the next group's acquisition respawns it, and it is re-warmed
+    before returning so the next batch finds it live.  Once the pool is
+    closed no group runs: the unfinished cells fail as ``shutdown``.
     """
-    shared = context.pool
+    pool = context.pool
     report = ExecuteReport()
-    private: Optional[WarmPool] = None
-    pool = shared
     groups: List[List[Job]] = [cells]
-
-    def shut_out(unfinished: List[Job]) -> None:
-        for cell in unfinished:
+    while groups:
+        group = groups.pop(0)
+        results, errors, hung, leftover, crashed = _run_group(
+            group, pool, context.profile, job_timeout
+        )
+        for cell in group:
+            payload = results.get(cell.signature())
+            if payload is None:
+                continue
+            value, deltas = payload
+            context.remember(cell, value)
+            if context.cache is not None:
+                CacheCounters.merge(context.cache.counters, deltas)
+            report.executed += 1
+        for cell, message in errors:
             report.failures[cell.signature()] = CellFailure(
-                cell, "shutdown", "the worker pool was shut down",
+                cell, "error", message
             )
-
-    try:
-        while groups:
-            group = groups.pop(0)
-            results, errors, hung, leftover, crashed = _run_group(
-                group, pool, context.profile, job_timeout
+        for cell in hung:
+            report.timeouts += 1
+            report.failures[cell.signature()] = CellFailure(
+                cell, "timeout",
+                f"cell exceeded the {job_timeout:g}s deadline",
             )
-            for cell in group:
-                payload = results.get(cell.signature())
-                if payload is None:
-                    continue
-                value, deltas = payload
-                context.remember(cell, value)
-                if context.cache is not None:
-                    CacheCounters.merge(context.cache.counters, deltas)
-                report.executed += 1
-            for cell, message in errors:
+        if pool.closed:
+            # The owner shut the pool down under this batch (an
+            # unclean drain).  A re-run or a bisection would spawn
+            # workers nobody kills, so the unfinished cells fail.
+            for cell in leftover + [c for rest in groups for c in rest]:
                 report.failures[cell.signature()] = CellFailure(
-                    cell, "error", message
+                    cell, "shutdown", "the worker pool was shut down",
                 )
-            for cell in hung:
-                report.timeouts += 1
-                report.failures[cell.signature()] = CellFailure(
-                    cell, "timeout",
-                    f"cell exceeded the {job_timeout:g}s deadline",
+            break
+        if crashed:
+            report.pool_crashes += 1
+            if observer is not None:
+                observer({"event": "pool_crash", "cells": len(group)})
+            if len(leftover) == 1:
+                # Bisection bottomed out: this cell IS the poison.
+                report.failures[leftover[0].signature()] = CellFailure(
+                    leftover[0], "crash",
+                    "worker pool died executing this cell",
                 )
-            if shared.closed:
-                # The owner shut the pool down under this batch (an
-                # unclean drain).  A re-run or a bisection would spawn
-                # workers nobody kills, so the unfinished cells fail.
-                shut_out(leftover + [c for rest in groups for c in rest])
-                break
-            if crashed:
-                report.pool_crashes += 1
-                if observer is not None:
-                    observer({"event": "pool_crash", "cells": len(group)})
-                if len(leftover) == 1:
-                    # Bisection bottomed out: this cell IS the poison.
-                    report.failures[leftover[0].signature()] = CellFailure(
-                        leftover[0], "crash",
-                        "worker pool died executing this cell",
-                    )
-                elif leftover:
-                    report.bisections += 1
-                    if observer is not None:
-                        observer({
-                            "event": "bisection",
-                            "round": report.bisections,
-                            "cells": len(leftover),
-                        })
-                    middle = len(leftover) // 2
-                    groups.append(leftover[:middle])
-                    groups.append(leftover[middle:])
             elif leftover:
-                # Victims of a hung-cell pool kill: known-innocent, re-run
-                # whole.
-                groups.append(leftover)
-            if groups and private is None:
-                private = shared.private(min(shared.max_workers, len(cells)))
-                if private is None:  # closed since the check above
-                    shut_out([c for rest in groups for c in rest])
-                    break
-                pool = private
-    finally:
-        if private is not None:
-            private.shutdown()
+                report.bisections += 1
+                if observer is not None:
+                    observer({
+                        "event": "bisection",
+                        "round": report.bisections,
+                        "cells": len(leftover),
+                    })
+                middle = len(leftover) // 2
+                groups.append(leftover[:middle])
+                groups.append(leftover[middle:])
+        elif leftover:
+            # Victims of a hung-cell pool kill: known-innocent, re-run
+            # whole.
+            groups.append(leftover)
     # Re-warm after any teardown (a no-op when the pool survived).
-    shared.ensure()
+    pool.ensure()
     return report

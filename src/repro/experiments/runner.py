@@ -201,8 +201,7 @@ class Job:
         for name in ARTIFACT_KINDS[self.kind].fields:
             if getattr(self, name) is None:
                 raise ValueError(f"{self.kind} jobs need a {name} config")
-        # Computed once: dedup, the context's memo and the service's
-        # in-flight registry all key on it.
+        # Computed once: dedup and the context's memo key on it.
         object.__setattr__(self, "_signature", fingerprint(
             self.kind, self.workload, self.dvi, self.edvi_binary,
             self.machine, self.live_hist,
@@ -223,26 +222,6 @@ class Job:
         """The cells whose artifacts computing this cell reads."""
         return [Job.of(kind, self.workload, vars(self))
                 for kind in ARTIFACT_KINDS[self.kind].upstream]
-
-    def dependencies(self) -> List["Job"]:
-        """The implicit upstream cells running this cell materializes.
-
-        A ``timed`` cell generates its trace (and the trace its binary)
-        on a cache miss without those cells ever being enumerated in a
-        job list.  Cross-batch dedup that only registers enumerated
-        cells therefore lets two concurrent batches race the shared
-        dependency artifacts; claiming the closure returned here closes
-        that gap.  The closure follows the table's ``upstream`` chain,
-        farthest upstream first, and each dependency carries only the
-        fields its kind is keyed by, so its signature matches an
-        enumerated cell of that kind.
-        """
-        closure: List[Job] = []
-        for cell in self.inputs():
-            for dependency in cell.dependencies() + [cell]:
-                if dependency not in closure:
-                    closure.append(dependency)
-        return closure
 
 
 class ExperimentContext:

@@ -10,7 +10,7 @@ when events indicate change (debounced) plus a slow idle timer.
 Visual conventions (deliberate, not decorative):
 
 * gauge tiles carry the headline numbers (queue depth, running,
-  in-flight cells, worker occupancy, cache hit rate);
+  in-flight cells, whether a batch is running, cache hit rate);
 * one single-series sparkline tracks queue depth over time (2px line,
   hover crosshair with value readout; a single series needs no legend —
   the tile title names it);
@@ -120,7 +120,7 @@ DASHBOARD_HTML = """<!DOCTYPE html>
   <div class="tile"><div class="label">Queue depth</div>
     <div class="value" id="t-depth">–</div>
     <div class="sub" id="t-states"></div></div>
-  <div class="tile"><div class="label">Workers active</div>
+  <div class="tile"><div class="label">Batch running</div>
     <div class="value" id="t-active">–</div>
     <div class="sub" id="t-workers"></div></div>
   <div class="tile"><div class="label">In-flight cells</div>
@@ -292,7 +292,7 @@ function applyStats(stats) {
   $("t-depth").textContent = q.depth;
   $("t-states").textContent =
     q.states.queued + " queued · " + q.states.running + " running";
-  $("t-active").textContent = wk.active + "/" + wk.count;
+  $("t-active").textContent = wk.active ? "yes" : "no";
   $("t-workers").textContent = "pool " + wk.pool_size +
     (wk.warm_pool ? (wk.warm_pool.live ? " · warm" : " · cold") : "");
   $("t-cells").textContent = wk.inflight_cells;

@@ -20,18 +20,12 @@ and the compute core, and is where the service earns its keep:
   per client), grouped by compatible profile, and their cells fused
   into one worker-pool batch.  The pool width (``jobs``) and the batch
   size (``max_batch``) bound each batch's concurrency budget.
-* **Sharded multi-worker dispatch** — ``workers`` drain slots call
-  :meth:`Dispatcher.drain_once` concurrently.  Claiming is atomic (one
-  dispatcher-wide lock covers the fair drain *and* the
-  ``queued -> running`` transitions), so two workers never pull the
-  same job; execution runs outside the lock, so while one worker's
-  batch executes, the next worker is already grouping and submitting
-  the following batch — the batch-overlapping drain that keeps the
-  pool busy.  Cells shared *across* concurrently executing batches are
-  deduplicated by an in-flight registry (first claimant computes, the
-  others wait and then assemble from the artifact the atomic cache
-  store published), so concurrent workers computing the same cell
-  remain byte-identical and compute-once.
+* **One drain loop** — the server's one drain thread calls
+  :meth:`Dispatcher.drain_once`, which claims and executes one fused
+  batch at a time.  Batches never overlap, so a cell shared by two
+  batches is computed by the first and read from the disk cache by the
+  second: queue coalescing, signature dedup within a batch and the
+  disk cache across batches are the whole exactly-once story.
 * **Assembly from the warmed context** — after the fused batch runs,
   each job's result table is assembled purely from the context's memo
   layer (see :func:`repro.experiments.sweep.assemble_sweep`), rendered
@@ -75,7 +69,6 @@ from repro.workloads.suite import get_workload
 
 __all__ = [
     "DEFAULT_MAX_BODY_BYTES",
-    "DEFAULT_WAIT_TIMEOUT",
     "BreakerOpenError",
     "Dispatcher",
     "DispatcherStats",
@@ -90,11 +83,6 @@ RESULT_KIND = "service"
 
 #: Default POST body cap (the server's transport-level admission bound).
 DEFAULT_MAX_BODY_BYTES = 1 << 20
-
-#: In-flight wait deadline when no ``--job-timeout`` is configured.
-#: With a timeout configured, waits use it instead: a wait on a foreign
-#: cell should expire on the same clock the cell's own execution would.
-DEFAULT_WAIT_TIMEOUT = 600.0
 
 
 class RequestError(ValueError):
@@ -211,7 +199,7 @@ def request_digest(request: dict) -> str:
     Deliberately version-free (unlike artifact digests, which fold in
     ``code_version``): a code change must invalidate cached artifacts,
     but it must *not* reshuffle which shard owns a request — placement
-    stability is what keeps warm caches and in-flight dedup valid
+    stability is what keeps warm caches and live-job coalescing valid
     across deploys.  Every spelling that normalizes to the same request
     dict shares this fingerprint, so it also shares a shard.
     """
@@ -240,13 +228,6 @@ class DispatcherStats:
     batches: int = 0
     batched_jobs: int = 0
     cells_executed: int = 0
-    #: Cells skipped because another worker's in-flight batch owned them.
-    cells_deduped_inflight: int = 0
-    #: Dependency artifacts (traces, binaries) a batch waited on instead
-    #: of racing another batch that was already computing them.
-    deps_deduped_inflight: int = 0
-    #: Batches that started while at least one other batch was executing.
-    overlapped_batches: int = 0
     #: Submissions this shard accepted although the consistent-hash ring
     #: assigns their fingerprint to a different shard (a client that
     #: skipped routing).  Accepted anyway — correctness never depends on
@@ -258,8 +239,8 @@ class DispatcherStats:
     rejected_depth: int = 0
     rejected_size: int = 0
     #: Containment tallies: bounded retries granted, jobs quarantined,
-    #: deadline expiries (cell executions *and* in-flight waits), batch
-    #: bisection rounds, and worker-pool deaths observed.
+    #: cell deadline expiries, batch bisection rounds, and worker-pool
+    #: deaths observed.
     retries: int = 0
     quarantined: int = 0
     timeouts: int = 0
@@ -269,139 +250,17 @@ class DispatcherStats:
     started_at: float = field(default_factory=time.monotonic)
 
     def utilization(self) -> float:
-        """Busy worker-seconds per wall second.
-
-        With ``workers > 1`` this is an *aggregate* across drain slots
-        and can exceed 1.0 — e.g. ~3.5 means three to four batches were
-        executing concurrently on average.
-        """
+        """Seconds spent executing batches per wall second (at most 1)."""
         elapsed = time.monotonic() - self.started_at
         return self.busy_seconds / elapsed if elapsed > 0 else 0.0
-
-
-class _InflightCells:
-    """Cross-worker registry of cells currently being computed.
-
-    :meth:`claim` partitions a batch's deduplicated cells into *owned*
-    (this worker registered them first and must compute them) and
-    *foreign* (another worker's executing batch already owns them —
-    skip computing, then :meth:`threading.Event.wait` until the owner
-    finishes and read the artifact its atomic cache store published).
-
-    The claim covers the full *dependency closure*: an owned ``timed``
-    cell registers the trace and binary cells it will materialize on a
-    cache miss, even though those are never enumerated in the batch's
-    job list — so two concurrent batches of distinct timed cells over
-    one workload no longer race the shared trace artifact (each
-    dependency is computed by exactly one batch; the others wait on its
-    event and then read the artifact from the atomic store).  Because
-    every claim is one atomic pass under the registry lock, a batch can
-    only ever wait on batches that claimed *before* it — the wait-for
-    graph follows claim order and cannot cycle.
-
-    The registry only ever *narrows* work: if an owner dies without
-    storing, the waiter's deadline expires, it reclaims the signature
-    (:meth:`reclaim`), and recomputes — so correctness never depends on the
-    registry, only compute-once does.
-    """
-
-    def __init__(self) -> None:
-        self._lock = threading.Lock()
-        self._events: Dict[str, threading.Event] = {}
-
-    def claim(
-        self, cells: List[Job]
-    ) -> Tuple[List[Job], List[str], List["_Wait"], List["_Wait"]]:
-        """Returns ``(owned, owned_sigs, foreign, dep_waits)``.
-
-        ``owned`` are enumerated cells this batch must execute;
-        ``owned_sigs`` every signature registered (cells *and* their
-        dependency closure) that :meth:`release` must clear; ``foreign``
-        waits for enumerated cells another batch owns (await before
-        assembling); ``dep_waits`` waits for dependency cells another
-        batch owns (await before executing, so the owned cells' implicit
-        dependency lookups hit the artifact the owner stored).  Each
-        wait carries the cell and signature so an expired wait can be
-        reclaimed and recomputed by the waiter.
-        """
-        owned: List[Job] = []
-        owned_sigs: List[str] = []
-        foreign: List[_Wait] = []
-        dep_waits: List[_Wait] = []
-        seen = set()
-        with self._lock:
-            for cell in cells:
-                signature = cell.signature()
-                if signature in seen:
-                    continue
-                seen.add(signature)
-                event = self._events.get(signature)
-                if event is None:
-                    self._events[signature] = threading.Event()
-                    owned.append(cell)
-                    owned_sigs.append(signature)
-                else:
-                    foreign.append(_Wait(cell, signature, event))
-            # Second pass: the owned cells' dependency closures.  Only
-            # owned cells matter — a foreign cell's dependencies are the
-            # owning batch's business.
-            for cell in owned:
-                for dependency in cell.dependencies():
-                    signature = dependency.signature()
-                    if signature in seen:
-                        continue
-                    seen.add(signature)
-                    event = self._events.get(signature)
-                    if event is None:
-                        self._events[signature] = threading.Event()
-                        owned_sigs.append(signature)
-                    else:
-                        dep_waits.append(_Wait(dependency, signature, event))
-        return owned, owned_sigs, foreign, dep_waits
-
-    def reclaim(self, signature: str, stale: threading.Event) -> bool:
-        """Take over a claim whose owner blew the wait deadline.
-
-        Atomic compare-and-swap: succeeds only while ``signature`` is
-        still registered to the ``stale`` event (the presumed-dead
-        owner).  The reclaimer installs a fresh event — later claimants
-        wait on *it* — and must :meth:`release` the signature when its
-        own recompute finishes.  Returns ``False`` when the owner
-        finished (or another waiter reclaimed) in the meantime; the
-        caller recomputes anyway — against a finished owner that is one
-        cache probe, against a racing reclaimer the atomic artifact
-        store makes the double-compute byte-safe.
-        """
-        with self._lock:
-            if self._events.get(signature) is not stale:
-                return False
-            self._events[signature] = threading.Event()
-            return True
-
-    def release(self, signatures: List[str]) -> None:
-        with self._lock:
-            for signature in signatures:
-                event = self._events.pop(signature, None)
-                if event is not None:
-                    event.set()
-
-
-@dataclass
-class _Wait:
-    """One foreign-owned signature a batch must await (or reclaim)."""
-
-    cell: Job
-    signature: str
-    event: threading.Event
 
 
 class Dispatcher:
     """Drains the queue into fused, bounded worker-pool batches.
 
-    ``workers`` is how many drain slots call :meth:`drain_once`
-    concurrently (the server hosts one thread per slot); the dispatcher
-    itself only serializes the claim phase and keeps its tallies
-    coherent — execution is the callers' concurrency.
+    One thread calls :meth:`drain_once` (the server's drain loop), so
+    one batch runs at a time; the submit path and the result readers
+    run on other threads, which is what the locks below guard.
     """
 
     def __init__(
@@ -411,7 +270,6 @@ class Dispatcher:
         *,
         jobs: int = 1,
         max_batch: int = 8,
-        workers: int = 1,
         quota: Optional[int] = None,
         max_queue_depth: Optional[int] = None,
         max_body_bytes: int = DEFAULT_MAX_BODY_BYTES,
@@ -451,7 +309,6 @@ class Dispatcher:
         )
         self.jobs = max(1, jobs)
         self.max_batch = max(1, max_batch)
-        self.workers = max(1, workers)
         #: Failure containment: how many failed executions a job gets
         #: before quarantine, and the per-cell wall-clock deadline
         #: (``None``/0: no deadline).
@@ -461,29 +318,19 @@ class Dispatcher:
         #: ``jobs > 1`` or a deadline is set (``None``: in-process).
         #: Spawned eagerly via ``warm_up()`` (or on first use), torn
         #: down and rebuilt on crash/hang, shut down with the server.
-        #: Sized ``jobs * workers``: every concurrent drain slot can fan
-        #: its batch across ``jobs`` warm processes without queueing
-        #: behind another slot's cells.
         self.pool = None
         if self.jobs > 1 or self.job_timeout is not None:
             from repro.experiments.pool import WarmPool
 
             self.pool = WarmPool(
-                self.jobs * self.workers,
-                self.cache.factory(),
-                on_event=self.events.publish,
+                self.jobs, self.cache.factory(), on_event=self.events.publish,
             )
-        #: Deadline for in-flight waits on cells another batch owns:
-        #: the configured job deadline when one is set, else a generous
-        #: constant — either way an expired wait reclaims + recomputes,
-        #: never proceeds without a result.
-        self.wait_timeout = self.job_timeout or DEFAULT_WAIT_TIMEOUT
         #: How long a RUNNING claim is trusted before lease reclaim.
         #: A batch's worst case is ~log2(max_batch) bisection rounds,
         #: each bounded by the deadline, plus pool spawns — 8x the
         #: deadline + a minute is generously past that, so a live slow
-        #: batch is practically never reclaimed out from under its
-        #: worker (and a false reclaim is safe, just wasteful: the
+        #: batch is practically never reclaimed out from under the
+        #: drain loop (and a false reclaim is safe, just wasteful: the
         #: late verdict loses its transition race and is dropped).
         self.lease_seconds = (
             None if self.job_timeout is None
@@ -505,20 +352,17 @@ class Dispatcher:
         self.max_queue_depth = max_queue_depth or None
         self.max_body_bytes = max_body_bytes
         self.stats = DispatcherStats()
-        #: Serializes the fair-drain + claim phase across drain workers
-        #: so two slots never mark the same job running.
-        self._claim_lock = threading.Lock()
-        #: Guards the stats counters (mutated from every drain slot and
+        #: Guards the stats counters (mutated from the drain thread and
         #: the event-loop submit path concurrently).
         self._stats_lock = threading.Lock()
-        #: Serializes counter accumulation + flush (snapshot/subtract in
-        #: flush_counters is not safe against a concurrent flush).
+        #: Makes "fold into the session totals, then flush (which
+        #: subtracts)" one step for snapshot(): without it a reader
+        #: mid-flush sees a tally in both halves and double-counts it.
         self._counters_lock = threading.Lock()
-        self._inflight = _InflightCells()
-        #: Drain slots currently executing a batch (overlap gauge).
-        self._active_batches = 0
-        #: Cells currently inside a worker pool across all drain slots
-        #: (the dashboard's in-flight gauge).
+        #: Whether a batch is executing (the drain gate's idle test).
+        self._batch_running = False
+        #: Distinct cells of the executing batch (the dashboard's
+        #: in-flight gauge).
         self._inflight_cells = 0
         #: Wall-clock birth for ``/v1/stats`` (`started_at`); the
         #: monotonic twin lives in ``DispatcherStats`` for utilization.
@@ -619,7 +463,7 @@ class Dispatcher:
                 with self._stats_lock:
                     self.stats.jobs_from_cache += 1
             except TransitionError:
-                # A dispatcher worker drained and finished this job
+                # The drain thread claimed and finished this job
                 # between our queue.submit and the existence probe; its
                 # result is the same bytes, so just serve its record.
                 job = self.queue.get(job.id)
@@ -687,33 +531,30 @@ class Dispatcher:
         return render_manifest(profile.name, {spec.name: result})
 
     def _claim_batch(self) -> List[ServiceJob]:
-        """Atomically claim one compatible job group (queued -> running).
+        """Claim one compatible job group (queued -> running).
 
-        The claim lock makes fair-drain + grouping + the
-        ``queued -> running`` transitions one indivisible step across
-        drain workers: two concurrent slots can never pull the same job,
-        and a slot claiming jobs of one profile leaves other profiles'
-        jobs queued for the next slot — the sharding rule.
+        Only the drain thread claims, so no lock is needed.  Jobs of
+        other profiles than the head job's stay queued for the next
+        batch.
         """
-        with self._claim_lock:
-            drained = self.queue.pending_fair(self.max_batch)
-            if not drained:
-                return []
-            profile_name = drained[0].request["profile"]
-            claimed: List[ServiceJob] = []
-            for job in drained:
-                if job.request["profile"] != profile_name:
-                    continue
-                try:
-                    self.queue.mark_running(
-                        job.id, lease_seconds=self.lease_seconds
-                    )
-                except TransitionError:
-                    # The submit thread instant-completed this job from
-                    # the cache after the fair drain picked it.
-                    continue
-                claimed.append(job)
-            return claimed
+        drained = self.queue.pending_fair(self.max_batch)
+        if not drained:
+            return []
+        profile_name = drained[0].request["profile"]
+        claimed: List[ServiceJob] = []
+        for job in drained:
+            if job.request["profile"] != profile_name:
+                continue
+            try:
+                self.queue.mark_running(
+                    job.id, lease_seconds=self.lease_seconds
+                )
+            except TransitionError:
+                # The submit thread instant-completed this job from
+                # the cache after the fair drain picked it.
+                continue
+            claimed.append(job)
+        return claimed
 
     def drain_once(self) -> int:
         """Claim and process one fused batch; returns jobs handled.
@@ -723,11 +564,10 @@ class Dispatcher:
         different profiles never share artifacts, so fusing them buys
         nothing), fuses their cells into a single deduplicated
         :func:`~repro.experiments.parallel.execute` batch, then
-        assembles and stores each job's result individually.  Safe to
-        call from ``workers`` threads concurrently: claiming is atomic,
-        execution overlaps.
+        assembles and stores each job's result individually.  Called
+        from one thread only: batches never overlap.
         """
-        # Auto-compaction lives here, on the drain workers — a snapshot
+        # Auto-compaction lives here, on the drain thread — a snapshot
         # write is multiple fsyncs and must never run on the submit
         # path's event loop.  O(1) check when below threshold.
         self.queue.maybe_compact()
@@ -756,9 +596,7 @@ class Dispatcher:
         context = ExperimentContext(profile, cache=self.cache, pool=self.pool)
 
         with self._stats_lock:
-            if self._active_batches > 0:
-                self.stats.overlapped_batches += 1
-            self._active_batches += 1
+            self._batch_running = True
         try:
             self._run_batch(group, profile, context)
         except Exception:
@@ -777,7 +615,7 @@ class Dispatcher:
             raise
         finally:
             with self._stats_lock:
-                self._active_batches -= 1
+                self._batch_running = False
                 self.stats.busy_seconds += time.monotonic() - started
             self.events.publish({
                 "event": "batch_done",
@@ -821,45 +659,11 @@ class Dispatcher:
         #: signature -> reason, for every cell without a usable result.
         failed_cells: Dict[str, str] = {}
         if runnable:
-            attempted = len(runnable)
-            # Cells another worker's in-flight batch owns are computed
-            # exactly once there; this batch executes only the cells it
-            # claimed first, then waits for the foreign ones below.
-            # The claim also covers the owned cells' dependency closure
-            # (traces, binaries), so dependency artifacts another batch
-            # is already materializing are waited on — not raced.
-            owned, owned_sigs, foreign, dep_waits = \
-                self._inflight.claim(cells)
-            with self._stats_lock:
-                self.stats.deps_deduped_inflight += len(dep_waits)
-            # Before executing: the owned cells' implicit dependency
-            # lookups must find the artifact the owning batch's atomic
-            # store publishes.  Deadline-driven — an expired wait means
-            # the owner is presumed dead, so reclaim and compute the
-            # dependency explicitly in this batch.
-            owned, owned_sigs = self._await_or_reclaim(
-                dep_waits, owned, owned_sigs
-            )
-            try:
-                executed = self._execute_cells(owned, context, failed_cells)
-            finally:
-                self._inflight.release(owned_sigs)
-            # Foreign enumerated cells: the owner's store must land
-            # before assembly reads it.  Same expiry contract — reclaim
-            # and recompute, never proceed without a verdict.
-            recovered, recovered_sigs = self._await_or_reclaim(foreign)
-            if recovered:
-                try:
-                    executed += self._execute_cells(
-                        recovered, context, failed_cells
-                    )
-                finally:
-                    self._inflight.release(recovered_sigs)
+            executed = self._execute_cells(cells, context, failed_cells)
             with self._stats_lock:
                 self.stats.batches += 1
-                self.stats.batched_jobs += attempted
+                self.stats.batched_jobs += len(runnable)
                 self.stats.cells_executed += executed
-                self.stats.cells_deduped_inflight += len(foreign)
             for job, _ in runnable:
                 self.tracer.stamp(job.id, "executed", batch_cells=executed)
 
@@ -882,35 +686,6 @@ class Dispatcher:
             except Exception as error:
                 self._finish(job, error=f"{type(error).__name__}: {error}")
 
-    def _await_or_reclaim(
-        self,
-        waits: List[_Wait],
-        owned: Optional[List[Job]] = None,
-        owned_sigs: Optional[List[str]] = None,
-    ) -> Tuple[List[Job], List[str]]:
-        """Await foreign-owned cells; expired waits become our work.
-
-        Extends (and returns) ``owned``/``owned_sigs`` with every wait
-        whose owner blew :attr:`wait_timeout`.  A successful reclaim
-        also registers the signature under a fresh event (released by
-        the caller after recompute); a lost reclaim race still adds the
-        cell — recomputing is one cache probe if the owner actually
-        finished, and the atomic store makes a true double-compute
-        byte-safe.  Either way the batch never proceeds to execution or
-        assembly with a cell in limbo.
-        """
-        owned = owned if owned is not None else []
-        owned_sigs = owned_sigs if owned_sigs is not None else []
-        for wait in waits:
-            if wait.event.wait(timeout=self.wait_timeout):
-                continue
-            with self._stats_lock:
-                self.stats.timeouts += 1
-            if self._inflight.reclaim(wait.signature, wait.event):
-                owned_sigs.append(wait.signature)
-            owned.append(wait.cell)
-        return owned, owned_sigs
-
     def _execute_cells(
         self,
         cells: List[Job],
@@ -929,33 +704,30 @@ class Dispatcher:
         if not cells:
             return 0
         with self._stats_lock:
-            self._inflight_cells += len(cells)
+            self._inflight_cells = len({cell.signature() for cell in cells})
         try:
-            try:
-                report = execute(
-                    cells, context, job_timeout=self.job_timeout,
-                    observer=self.events.publish,
-                )
-            except Exception as error:
-                self._breaker_record(crashed=True)
-                reason = (
-                    f"batch execution failed: {type(error).__name__}: {error}"
-                )
-                for cell in cells:
-                    failed.setdefault(cell.signature(), reason)
-                return 0
-            for signature, failure in report.failures.items():
-                failed[signature] = f"{failure.kind}: {failure.detail}"
-            with self._stats_lock:
-                self.stats.timeouts += report.timeouts
-                self.stats.bisections += report.bisections
-                self.stats.pool_crashes += report.pool_crashes
-            if report.executed or report.pool_crashes:
-                self._breaker_record(crashed=report.pool_crashes > 0)
-            return report.executed
+            report = execute(
+                cells, context, job_timeout=self.job_timeout,
+                observer=self.events.publish,
+            )
+        except Exception as error:
+            self._breaker_record(crashed=True)
+            reason = f"batch execution failed: {type(error).__name__}: {error}"
+            for cell in cells:
+                failed.setdefault(cell.signature(), reason)
+            return 0
         finally:
             with self._stats_lock:
-                self._inflight_cells -= len(cells)
+                self._inflight_cells = 0
+        for signature, failure in report.failures.items():
+            failed[signature] = f"{failure.kind}: {failure.detail}"
+        with self._stats_lock:
+            self.stats.timeouts += report.timeouts
+            self.stats.bisections += report.bisections
+            self.stats.pool_crashes += report.pool_crashes
+        if report.executed or report.pool_crashes:
+            self._breaker_record(crashed=report.pool_crashes > 0)
+        return report.executed
 
     def _contain(self, job: ServiceJob, reason: str) -> None:
         """Route one failed execution through the bounded retry budget.
@@ -988,9 +760,9 @@ class Dispatcher:
     def _reclaim_expired_leases(self) -> None:
         """Heal RUNNING jobs whose lease deadline passed.
 
-        A drain slot that died mid-batch (or a batch wedged past any
-        reasonable runtime) leaves its jobs RUNNING — a state nothing
-        re-drains.  Expired leases route through the same
+        A batch that ended without a verdict (its demotion failed too,
+        or it wedged past any reasonable runtime) leaves its jobs
+        RUNNING — a state nothing re-drains.  Expired leases route through the same
         retry/quarantine policy as any other failed execution, so a
         repeatedly-wedging job still converges to quarantine.
         """
@@ -1027,9 +799,9 @@ class Dispatcher:
             return max(0.0, self._breaker_open_until - time.monotonic())
 
     def idle(self) -> bool:
-        """True when no drain slot is executing a batch (drain gate)."""
+        """True when no batch is executing (drain gate)."""
         with self._stats_lock:
-            return self._active_batches == 0
+            return not self._batch_running
 
     def _finish(self, job: ServiceJob, *, result_key: str = None,
                 error: str = None) -> None:
@@ -1073,17 +845,19 @@ class Dispatcher:
     def snapshot(self) -> dict:
         """The ``GET /v1/stats`` document (deterministic key order).
 
-        Runs on the event-loop thread while the dispatcher thread
-        mutates the counter dicts; ``list()`` materializes the items
-        atomically (a single C-level step under the GIL) before any
-        Python-level iteration, so concurrent inserts cannot perturb it.
-        The ``session`` section is cumulative for this server process:
-        the per-batch flush into the on-disk lifetime file does not
-        zero it.
+        Runs on the event-loop thread while the drain thread mutates
+        the counter dicts; ``list()`` materializes the items atomically
+        (a single C-level step under the GIL) before any Python-level
+        iteration, so concurrent inserts cannot perturb it.  The
+        ``session`` section is cumulative for this server process: the
+        per-batch flush into the on-disk lifetime file does not zero
+        it.  A read that races that flush waits for it (one small-file
+        write) rather than count its tallies twice.
         """
         merged: Dict[str, CacheCounters] = {}
-        CacheCounters.merge(merged, self._session_counters)
-        CacheCounters.merge(merged, self.cache.counters)
+        with self._counters_lock:
+            CacheCounters.merge(merged, self._session_counters)
+            CacheCounters.merge(merged, self.cache.counters)
         cache_counters = {
             kind: {
                 "hits": c.hits, "misses": c.misses,
@@ -1097,7 +871,7 @@ class Dispatcher:
             #: Bumped whenever a section or key is added/renamed, so
             #: monitoring consumers can gate on it.  The pinned schema
             #: test asserts the exact key set at each version.
-            "schema_version": 3,
+            "schema_version": 4,
             "started_at": round(self._started_wall, 3),
             "uptime_seconds": round(time.time() - self._started_wall, 3),
             "queue": {
@@ -1114,9 +888,6 @@ class Dispatcher:
                 "batches": self.stats.batches,
                 "batched_jobs": self.stats.batched_jobs,
                 "cells_executed": self.stats.cells_executed,
-                "cells_deduped_inflight": self.stats.cells_deduped_inflight,
-                "deps_deduped_inflight": self.stats.deps_deduped_inflight,
-                "overlapped_batches": self.stats.overlapped_batches,
             },
             "shard": {
                 "index": self.shard_index,
@@ -1155,8 +926,7 @@ class Dispatcher:
                 if isinstance(self.cache, TieredArtifactCache) else None
             ),
             "workers": {
-                "count": self.workers,
-                "active": self._active_batches,
+                "active": int(self._batch_running),
                 "inflight_cells": self._inflight_cells,
                 "pool_size": self.jobs,
                 "max_batch": self.max_batch,

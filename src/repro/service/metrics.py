@@ -29,24 +29,38 @@ _NAME_RE = re.compile(r"[^a-zA-Z0-9_]")
 #: snapshot keys rendered as a labelled gauge instead of flattened.
 _STATE_SECTIONS = (("queue", "states"),)
 
-#: keys that are point-in-time gauges; everything else numeric in the
-#: snapshot is monotone (a counter) or close enough to document as one.
+#: Series that can go down (point-in-time values) or are configured
+#: limits; every other numeric snapshot key only ever grows and is
+#: exported as a counter.  Optional limits (quota, queue depth, job
+#: timeout) are rendered only when set.
 _GAUGE_KEYS = {
-    "repro_queue_depth",
-    "repro_uptime_seconds",
-    "repro_started_at",
     "repro_schema_version",
-    "repro_events_subscribers",
-    "repro_workers_inflight_cells",
-    "repro_workers_active",
-    "repro_workers_slots",
+    "repro_started_at",
+    "repro_uptime_seconds",
+    "repro_queue_depth",
+    "repro_queue_jobs",
     "repro_queue_compaction_generation",
-    "repro_queue_compaction_journal_entries",
-    "repro_queue_compaction_snapshot_jobs",
+    "repro_queue_compaction_journal_events",
     "repro_shard_index",
     "repro_shard_count",
     "repro_shard_peers",
+    "repro_admission_quota",
+    "repro_admission_max_queue_depth",
+    "repro_admission_max_body_bytes",
+    "repro_containment_max_attempts",
+    "repro_containment_job_timeout",
+    "repro_containment_breaker_open",
     "repro_tiered_peer_count",
+    "repro_workers_active",
+    "repro_workers_inflight_cells",
+    "repro_workers_pool_size",
+    "repro_workers_max_batch",
+    "repro_workers_utilization",
+    "repro_workers_warm_pool_workers",
+    "repro_workers_warm_pool_live",
+    "repro_workers_warm_pool_last_warmup_ms",
+    "repro_events_subscribers",
+    "repro_events_jobs_retained",
 }
 
 

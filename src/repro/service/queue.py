@@ -59,7 +59,7 @@ dispatcher reclaims expired leases through the same retry/quarantine
 policy.
 
 The queue is thread-safe (the HTTP server submits from the asyncio
-thread while dispatcher workers drain concurrently) but single-process;
+thread while the dispatcher's drain thread claims) but single-process;
 multi-process sharing would shard queue directories, not this file.
 
 Crash-injection seams: every fsync/rename/append/truncate boundary in
@@ -276,7 +276,7 @@ class JobQueue:
 
     ``compact_every`` (events appended since the last snapshot) arms
     :meth:`maybe_compact`, which the owner's housekeeping loop (the
-    dispatcher's drain workers, for the service) calls between batches;
+    dispatcher's drain thread, for the service) calls between batches;
     ``None`` leaves compaction manual.  ``retain_terminal`` bounds how
     many finished jobs a snapshot keeps.
     """
@@ -767,7 +767,7 @@ class JobQueue:
         """Compact iff the journal has outgrown ``compact_every`` events.
 
         The auto-compaction entry point — called by the dispatcher's
-        drain workers (never from the HTTP event loop: a snapshot write
+        drain thread (never from the HTTP event loop: a snapshot write
         is multiple fsyncs, and the submit path runs on the loop), and
         available to any standalone queue owner's housekeeping loop.
         """

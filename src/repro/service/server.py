@@ -35,7 +35,7 @@ connection (``Connection: close``), JSON in and out:
   timeline (queued→claimed→batched→executed→assembled, durations sum
   to wall time).
 * ``GET /dashboard`` — a self-contained zero-dependency HTML page
-  driven by the SSE stream (queue depth, worker occupancy, cache hit
+  driven by the SSE stream (queue depth, running batch, cache hit
   rate, in-flight cells, recent quarantines).
 
 ``--log-json`` turns the same event-bus records into structured
@@ -45,18 +45,17 @@ path, status, duration_ms; lifecycle records mark serving/draining).
 Shutdown is a *graceful drain* (``SIGTERM``/``SIGINT`` under the CLI,
 :meth:`ServiceServer.begin_drain` programmatically): submissions are
 refused with ``503`` + ``Retry-After`` while reads keep answering,
-in-flight batches get ``drain_grace`` seconds to record their verdicts,
+the running batch gets ``drain_grace`` seconds to record its verdicts,
 stragglers are demoted back to ``queued`` (replay shows no phantom
 RUNNING job), the journal is compacted, and the process exits 0.
 
-Simulation work never runs on the event loop: ``workers`` dispatcher
-threads drain the queue batch-by-batch (each fanning its batch across
-the persistent worker pool when ``jobs > 1`` or a deadline is set), so
-the API stays responsive while heavy sweeps execute — and with more
-than one worker, the next batch is claimed and grouped while the
-previous one is still executing.  :class:`ServerThread` hosts the
-whole service inside one background thread — the harness tests, the
-smoke script, and the benchmark all drive real sockets through it.
+Simulation work never runs on the event loop: one drain thread claims
+and executes one fused batch at a time (fanning it across the
+persistent worker pool when ``jobs > 1`` or a deadline is set), so the
+API stays responsive while heavy sweeps execute.
+:class:`ServerThread` hosts the whole service inside one background
+thread — the harness tests, the smoke script, and the benchmark all
+drive real sockets through it.
 """
 
 from __future__ import annotations
@@ -138,7 +137,6 @@ class ServiceServer:
         port: int = 0,
         jobs: int = 1,
         max_batch: int = 8,
-        workers: int = 1,
         compact_every: Optional[int] = 4096,
         retain_terminal: int = 256,
         quota: Optional[int] = None,
@@ -158,7 +156,6 @@ class ServiceServer:
     ) -> None:
         self.host = host
         self.port = port
-        self.workers = max(1, workers)
         #: Sharding: ``shard`` is this process's ``K/N`` spec and
         #: ``peers`` the N announced base URLs in index order (self is
         #: ``peers[K]`` — the same list every client routes over, so
@@ -202,7 +199,7 @@ class ServiceServer:
         )
         self.dispatcher = Dispatcher(
             self.queue, cache_dir,
-            jobs=jobs, max_batch=max_batch, workers=self.workers,
+            jobs=jobs, max_batch=max_batch,
             quota=quota, max_queue_depth=max_queue_depth,
             max_body_bytes=max_body_bytes,
             max_attempts=max_attempts, job_timeout=job_timeout,
@@ -222,13 +219,13 @@ class ServiceServer:
         self._log_thread: Optional[threading.Thread] = None
         self._log_sub = None
         self._server: Optional[asyncio.base_events.Server] = None
-        #: One thread per drain slot: claims are serialized inside the
-        #: dispatcher, batch execution overlaps across slots.
+        #: The one drain thread: it claims and executes one batch at a
+        #: time.
         self._executor = ThreadPoolExecutor(
-            max_workers=self.workers, thread_name_prefix="repro-dispatch"
+            max_workers=1, thread_name_prefix="repro-dispatch"
         )
         # Result reads (disk + unpickle) go here, NOT on the event loop
-        # and NOT behind the single dispatch worker a running batch owns.
+        # and NOT behind the drain thread a running batch owns.
         self._read_executor = ThreadPoolExecutor(
             max_workers=2, thread_name_prefix="repro-read"
         )
@@ -247,19 +244,14 @@ class ServiceServer:
             self._handle, self.host, self.port
         )
         self.port = self._server.sockets[0].getsockname()[1]
-        self.events.publish({
-            "event": "serving", "url": self.url, "workers": self.workers,
-        })
+        self.events.publish({"event": "serving", "url": self.url})
         # Spawn the worker pool (if any) off the event loop so the
         # socket answers immediately; a batch racing the warm-up just
         # blocks on the pool lock and inherits the freshly spawned
         # workers.
         loop = asyncio.get_running_loop()
         self._warmup = loop.run_in_executor(None, self.dispatcher.warm_up)
-        self._drain_tasks = [
-            asyncio.ensure_future(self._drain_loop(slot))
-            for slot in range(self.workers)
-        ]
+        self._drain_task = asyncio.ensure_future(self._drain_loop())
 
     @property
     def url(self) -> str:
@@ -267,14 +259,13 @@ class ServiceServer:
 
     async def run_until_closed(self) -> None:
         await self._closing.wait()
-        # No new batches: cancelling a drain task stops its claim loop;
+        # No new batches: cancelling the drain task stops its claim loop;
         # a drain_once already running on the executor keeps going.
-        for task in self._drain_tasks:
-            task.cancel()
+        self._drain_task.cancel()
         if self._draining:
             # Grace window: keep the HTTP socket answering (refused
             # submissions carry Retry-After, health reports draining)
-            # while in-flight batches record their verdicts.
+            # while the running batch records its verdicts.
             deadline = time.monotonic() + self.drain_grace
             while not self.dispatcher.idle() \
                     and time.monotonic() < deadline:
@@ -292,9 +283,9 @@ class ServiceServer:
                     self.queue.demote(job.id)
                 except Exception:
                     pass
-        # Cancelling the drain tasks does not interrupt an executor'd
-        # drain_once; wait for any in-flight batches to record their
-        # results BEFORE closing the journal they write to.  A wedged
+        # Cancelling the drain task does not interrupt an executor'd
+        # drain_once; wait for a running batch to record its results
+        # BEFORE closing the journal they write to.  A wedged
         # batch that already blew the drain grace is the one case where
         # waiting would hang shutdown forever — abandon it instead (the
         # CLI hard-exits; its jobs were demoted above, so a restart
@@ -366,7 +357,7 @@ class ServiceServer:
         if self._closing is not None:
             self._closing.set()
 
-    async def _drain_loop(self, slot: int) -> None:
+    async def _drain_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while not self._closing.is_set():
             try:
@@ -378,12 +369,11 @@ class ServiceServer:
                 # must not silently kill the dispatcher while the API
                 # keeps accepting jobs: report, back off, keep draining.
                 print(
-                    f"service: drain error (worker {slot}): "
-                    f"{type(error).__name__}: {error}",
+                    f"service: drain error: {type(error).__name__}: {error}",
                     file=sys.stderr, flush=True,
                 )
                 self.events.publish({
-                    "event": "drain_error", "worker": slot,
+                    "event": "drain_error",
                     "error": f"{type(error).__name__}: {error}",
                 })
                 await asyncio.sleep(1.0)
@@ -525,10 +515,11 @@ class ServiceServer:
             )
             # An opening snapshot so consumers (the dashboard, `repro
             # watch`) can initialize gauges without a second request.
+            stats = self.dispatcher.snapshot()
             hello = {
                 "event": "hello",
-                "schema_version": 3,
-                "stats": self.dispatcher.snapshot(),
+                "schema_version": stats["schema_version"],
+                "stats": stats,
             }
             writer.write(_sse_frame(hello))
             await writer.drain()
@@ -685,7 +676,7 @@ class ServiceServer:
                 return 405, {"error": "method not allowed"}
             retain = self._parse_compact_body(body)
             # Journal fsyncs + a snapshot write: off-loop, on the reader
-            # pool (the drain workers may all be mid-batch).
+            # pool (the drain thread may be mid-batch).
             report = await asyncio.get_running_loop().run_in_executor(
                 self._read_executor, self.dispatcher.compact, retain
             )
@@ -769,7 +760,7 @@ class ServiceServer:
         if not _RESULT_KEY_RE.fullmatch(key):
             return 404, {"error": "result keys are 64-char hex digests"}
         # Disk read + unpickle of a possibly-large document: off-loop,
-        # on the reader pool (the dispatch worker may be mid-batch).
+        # on the reader pool (the drain thread may be mid-batch).
         document = await asyncio.get_running_loop().run_in_executor(
             self._read_executor, self.dispatcher.load_result, key
         )
@@ -807,7 +798,6 @@ def serve_forever(
     port: int = 0,
     jobs: int = 1,
     max_batch: int = 8,
-    workers: int = 1,
     compact_every: Optional[int] = 4096,
     quota: Optional[int] = None,
     max_queue_depth: Optional[int] = None,
@@ -832,7 +822,7 @@ def serve_forever(
     server = ServiceServer(
         queue_dir, cache_dir,
         host=host, port=port, jobs=jobs, max_batch=max_batch,
-        workers=workers, compact_every=compact_every,
+        compact_every=compact_every,
         quota=quota, max_queue_depth=max_queue_depth,
         max_body_bytes=max_body_bytes,
         max_attempts=max_attempts, job_timeout=job_timeout,

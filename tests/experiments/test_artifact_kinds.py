@@ -7,9 +7,8 @@ These tests pin what the rest of the pipeline relies on:
 
 * a cell has one value, whichever path produced it: in-process, a
   pool worker, or a disk-cache replay;
-* the dependency closure the service's in-flight registry claims
-  (``Job.dependencies``) is exactly what computing a cold cell looks
-  up, so the claim and the compute chain cannot drift apart;
+* computing a cold cell looks up exactly itself and its upstream
+  chain, once each;
 * an experiment's assembly reads only the cells its ``jobs`` enumerated
   (Figure 12's scheduler run, computed during assembly, aside).
 """
@@ -76,18 +75,41 @@ class TestOneValuePerCell:
         assert _bytes(replayed) == _bytes(local)
 
 
+#: The kinds a cold cell of each kind looks up: itself and its
+#: upstream chain.
+COLD_LOOKUPS = {
+    "binary": {"binary"},
+    "trace": {"binary", "trace"},
+    "functional": {"binary", "functional"},
+    "timed": {"binary", "trace", "timed"},
+}
+
+
 class TestDependencyClosureIsTheComputeChain:
     @pytest.mark.parametrize("kind", sorted(CELLS))
     def test_cold_cell_looks_up_itself_and_its_dependencies(
         self, kind, tmp_path
     ):
-        cell = CELLS[kind]
         cache = ArtifactCache(tmp_path)
-        ExperimentContext(TINY, cache=cache).cell(cell)
-        expected = [cell.kind] + [dep.kind for dep in cell.dependencies()]
-        assert sorted(cache.counters) == sorted(expected)
+        ExperimentContext(TINY, cache=cache).cell(CELLS[kind])
+        assert set(cache.counters) == COLD_LOOKUPS[kind]
         for counter in cache.counters.values():
             assert (counter.hits, counter.misses, counter.stores) == (0, 1, 1)
+
+    def test_distinct_machines_share_one_trace(self, tmp_path):
+        """Two timed cells differing only in machine configuration are
+        distinct cells over one trace: a batch computes it once."""
+        machines = (MachineConfig.micro97().with_phys_regs(size)
+                    for size in (34, 42))
+        cells = [Job("timed", "li_like", dvi=DVIConfig.none(),
+                     machine=machine) for machine in machines]
+        assert cells[0].signature() != cells[1].signature()
+        cache = ArtifactCache(tmp_path)
+        execute(cells, ExperimentContext(TINY, cache=cache)).check()
+        assert {kind: counter.misses
+                for kind, counter in cache.counters.items()} == {
+            "binary": 1, "trace": 1, "timed": 2,
+        }
 
 
 @pytest.fixture(scope="module")

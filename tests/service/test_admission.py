@@ -280,8 +280,7 @@ class TestStatsSchema:
         "dispatcher": {
             "submissions", "coalesced", "jobs_from_cache",
             "jobs_completed", "jobs_failed", "batches", "batched_jobs",
-            "cells_executed", "cells_deduped_inflight",
-            "deps_deduped_inflight", "overlapped_batches",
+            "cells_executed",
         },
         "shard": {"index", "count", "url", "peers", "misrouted"},
         "admission": {
@@ -297,7 +296,7 @@ class TestStatsSchema:
             "local", "shared", "peer", "shared_root", "peer_count",
         },
         "workers": {
-            "count", "active", "inflight_cells", "pool_size",
+            "active", "inflight_cells", "pool_size",
             "max_batch", "busy_seconds", "utilization", "warm_pool",
         },
         "events": {
@@ -315,7 +314,7 @@ class TestStatsSchema:
         assert set(stats) == set(self.EXPECTED) | self.SCALARS
         for section, keys in self.EXPECTED.items():
             assert set(stats[section]) == keys, section
-        assert stats["schema_version"] == 3
+        assert stats["schema_version"] == 4
         assert stats["started_at"] > 0
         assert stats["uptime_seconds"] >= 0
         for tier in ("local", "shared", "peer"):

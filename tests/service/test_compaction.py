@@ -83,7 +83,7 @@ class TestCompaction:
         queue.close()
 
     def test_maybe_compact_fires_on_event_threshold(self, tmp_path):
-        """maybe_compact (the drain workers' housekeeping call) is a
+        """maybe_compact (the drain thread's housekeeping call) is a
         no-op below the threshold and compacts at it."""
         queue = JobQueue(
             tmp_path, version=VERSION, compact_every=10, retain_terminal=1
@@ -243,7 +243,7 @@ class TestTenThousandJobHistory:
         for i in range(10_000):
             job, _ = queue.submit(_req(i), "alice")
             queue.mark_done(job.id, result_key=f"res-{i}", source="cache")
-            queue.maybe_compact()  # the drain workers' housekeeping call
+            queue.maybe_compact()  # the drain thread's housekeeping call
         live, _ = queue.submit(_req(10_000), "bob")
         stats = queue.compaction_stats()
         queue.close()

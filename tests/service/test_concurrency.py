@@ -1,11 +1,11 @@
-"""Multi-worker concurrency stress: exactly-once compute, identical bytes.
+"""Racing submissions against the default server: exactly-once compute.
 
-The scale-out contract: with ``--workers 4`` draining batches
-concurrently, overlapping and identical requests racing in over HTTP
-must still collapse to **exactly one computation per distinct cell**
-(the queue coalesces identical requests, the in-flight registry and the
-cache's atomic store dedup shared cells across concurrent batches), and
-every served document must be byte-identical to the serial, in-process
+The server drains one fused batch at a time.  Identical and overlapping
+requests racing in over HTTP must still collapse to **exactly one
+computation per distinct cell**: the queue coalesces identical requests
+into one job, a batch deduplicates shared cells by signature, and a
+later batch reads what an earlier one stored from the disk cache.  Every
+served document must be byte-identical to the serial, in-process
 :func:`~repro.experiments.sweep.run_sweep` rendering.
 """
 
@@ -71,100 +71,122 @@ def _submit_all(url, payloads, copies):
     return receipts
 
 
-class TestFourWorkersStress:
-    def test_32_overlapping_identical_submissions_exactly_once(
-        self, tmp_path
-    ):
-        """4 workers x 32 racing submissions (8 identical copies of each
-        of 4 distinct requests): per distinct cell, exactly one cache
-        miss — i.e. exactly one computation — and byte-identical bytes.
-        ``max_batch=1`` forces the four jobs into four *concurrent*
-        batches instead of one fused one."""
-        payloads = [_payload([value]) for value in DISJOINT_VALUES]
-        with ServerThread(
-            tmp_path / "queue", tmp_path / "cache",
-            workers=4, max_batch=1,
-        ) as service:
-            receipts = _submit_all(service.url, payloads, copies=8)
-            # All 8 copies of each payload share one job id; distinct
-            # payloads do not.
-            ids = [{r["id"] for r in group} for group in receipts]
-            assert all(len(group) == 1 for group in ids)
-            assert len(set().union(*ids)) == len(payloads)
+def _submit_before_draining(service, payloads, copies):
+    """Race the submissions while the drain loop claims nothing.
 
-            for index, payload in enumerate(payloads):
+    Stubbing ``drain_once`` pins the batching: every job is queued
+    before the first claim, so that claim fuses them into one batch.
+    """
+    dispatcher = service.server.dispatcher
+    drain_once = dispatcher.drain_once
+    dispatcher.drain_once = lambda: 0
+    try:
+        return _submit_all(service.url, payloads, copies)
+    finally:
+        dispatcher.drain_once = drain_once
+
+
+def _one_job_per_request(receipts, requests):
+    ids = [{receipt["id"] for receipt in group} for group in receipts]
+    assert all(len(group) == 1 for group in ids)
+    assert len(set().union(*ids)) == requests
+
+
+def _misses(stats) -> dict:
+    session = stats["cache"]["session"]
+    return {kind: session[kind]["misses"]
+            for kind in ("binary", "trace", "timed")}
+
+
+class TestRacingSubmissions:
+    def test_disjoint_requests_compute_each_cell_once(self, tmp_path):
+        """32 racing submissions, 8 identical copies of each of 4
+        disjoint requests: one job per request, one miss per distinct
+        cell of every kind (the four timed cells share one trace and
+        one binary), however the jobs fell into batches."""
+        payloads = [_payload([value]) for value in DISJOINT_VALUES]
+        with ServerThread(tmp_path / "queue", tmp_path / "cache") as service:
+            receipts = _submit_all(service.url, payloads, copies=8)
+            _one_job_per_request(receipts, len(payloads))
+            for value, payload in zip(DISJOINT_VALUES, payloads):
                 _job, document = submit_and_wait(
                     service.url, dict(payload), client="checker",
                     timeout=240,
                 )
-                assert document == _serial_document([DISJOINT_VALUES[index]])
-
+                assert document == _serial_document([value])
             stats = get_stats(service.url)
-            # Exactly-once computation: one timed-cell miss per distinct
-            # cell, no more — however the 4 concurrent batches raced.
-            session = stats["cache"]["session"]
-            assert session["timed"]["misses"] == len(DISJOINT_VALUES)
-            assert stats["dispatcher"]["cells_executed"] == len(
-                DISJOINT_VALUES
-            )
-            assert stats["workers"]["count"] == 4
+        assert _misses(stats) == {"binary": 1, "trace": 1, "timed": 4}
+        assert stats["dispatcher"]["cells_executed"] == len(DISJOINT_VALUES)
 
-    def test_overlapping_grids_share_cells_across_workers(self, tmp_path):
-        """Requests whose grids overlap: the union of cells is computed
-        once each even when the owning batches execute concurrently on
-        different workers (in-flight registry + atomic cache store)."""
+    def test_overlapping_grids_fuse_into_one_union(self, tmp_path):
+        """Four requests whose grids overlap pairwise, queued together:
+        one batch executes the union of four cells, once each."""
         payloads = [_payload(values) for values in OVERLAPPING_GRIDS]
-        with ServerThread(
-            tmp_path / "queue", tmp_path / "cache",
-            workers=4, max_batch=1,
-        ) as service:
-            _submit_all(service.url, payloads, copies=2)
+        with ServerThread(tmp_path / "queue", tmp_path / "cache") as service:
+            receipts = _submit_before_draining(service, payloads, copies=2)
+            _one_job_per_request(receipts, len(payloads))
             documents = [
                 submit_and_wait(service.url, dict(payload),
                                 client="checker", timeout=240)[1]
                 for payload in payloads
             ]
-            for document, values in zip(documents, OVERLAPPING_GRIDS):
-                assert document == _serial_document(values)
-
             stats = get_stats(service.url)
-            # 8 enumerated cells across the four jobs, 4 distinct: each
-            # distinct cell misses (computes) exactly once.
-            assert stats["cache"]["session"]["timed"]["misses"] == 4
-            executed = stats["dispatcher"]["cells_executed"]
-            deduped = stats["dispatcher"]["cells_deduped_inflight"]
-            # Every enumerated-but-not-executed cell was either claimed
-            # by a concurrent batch (deduped) or already on disk.
-            assert executed <= 8
-            assert executed + deduped >= 4
+        for document, values in zip(documents, OVERLAPPING_GRIDS):
+            assert document == _serial_document(values)
+        assert stats["dispatcher"]["batches"] == 1
+        assert stats["dispatcher"]["cells_executed"] == 4
+        assert _misses(stats) == {"binary": 1, "trace": 1, "timed": 4}
+
+    def test_overlapping_grids_across_batches_hit_the_disk_cache(
+        self, tmp_path
+    ):
+        """The same requests one per batch (``max_batch=1``): a cell a
+        later batch shares with an earlier one is read from the disk
+        cache, not computed again."""
+        payloads = [_payload(values) for values in OVERLAPPING_GRIDS]
+        with ServerThread(
+            tmp_path / "queue", tmp_path / "cache", max_batch=1,
+        ) as service:
+            receipts = _submit_all(service.url, payloads, copies=2)
+            _one_job_per_request(receipts, len(payloads))
+            documents = [
+                submit_and_wait(service.url, dict(payload),
+                                client="checker", timeout=240)[1]
+                for payload in payloads
+            ]
+            stats = get_stats(service.url)
+        for document, values in zip(documents, OVERLAPPING_GRIDS):
+            assert document == _serial_document(values)
+        assert stats["dispatcher"]["batches"] == len(payloads)
+        assert _misses(stats) == {"binary": 1, "trace": 1, "timed": 4}
+        # 8 enumerated timed cells, 4 distinct: the other 4 are hits.
+        assert stats["cache"]["session"]["timed"]["hits"] == 4
 
     def test_identical_flood_single_computation(self, tmp_path):
-        """32 identical racing submissions, 4 workers: one job, one
-        batch, one cell."""
+        """32 identical racing submissions: one job, one batch, one
+        cell."""
         payload = _payload(["34"])
-        with ServerThread(
-            tmp_path / "queue", tmp_path / "cache", workers=4
-        ) as service:
+        with ServerThread(tmp_path / "queue", tmp_path / "cache") as service:
             receipts = _submit_all(service.url, [payload], copies=32)
-            assert len({r["id"] for r in receipts[0]}) == 1
+            _one_job_per_request(receipts, 1)
             _job, document = submit_and_wait(
                 service.url, dict(payload), client="checker", timeout=240
             )
-            assert document == _serial_document(["34"])
             stats = get_stats(service.url)
-            assert stats["dispatcher"]["cells_executed"] == 1
-            assert stats["cache"]["session"]["timed"]["misses"] == 1
-            assert stats["dispatcher"]["jobs_completed"] == 1
+        assert document == _serial_document(["34"])
+        assert stats["dispatcher"]["cells_executed"] == 1
+        assert stats["dispatcher"]["jobs_completed"] == 1
+        assert _misses(stats) == {"binary": 1, "trace": 1, "timed": 1}
 
 
-@pytest.mark.parametrize("workers", [1, 4])
-def test_worker_count_does_not_change_bytes(tmp_path, workers):
-    """The sharding knob is invisible in the output: any worker count
-    serves the same bytes for the same request."""
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_pool_width_does_not_change_bytes(tmp_path, jobs):
+    """The remaining scale-out knob is invisible in the output: the
+    in-process path and a two-worker pool serve the same bytes for the
+    same request."""
     payload = _payload(["34", "42"])
     with ServerThread(
-        tmp_path / f"queue-{workers}", tmp_path / f"cache-{workers}",
-        workers=workers,
+        tmp_path / "queue", tmp_path / "cache", jobs=jobs,
     ) as service:
         _job, document = submit_and_wait(
             service.url, dict(payload), client="parity", timeout=240

@@ -1,12 +1,11 @@
 """Containment-layer tests: queue state machine, lease reclaim,
-deadline-driven in-flight waits, circuit breaker, graceful drain.
+circuit breaker, graceful drain.
 
 The faultsim scenarios (test_faultsim.py) prove the end-to-end story
 under injected worker faults; these tests pin each mechanism in
 isolation — the retry/quarantine transitions and their journal replay,
-the expiry path for in-flight waits (the fix for the old hardcoded
-600 s ``event.wait``), the breaker's open/half-open cycle, and the
-drain sequence including the real-SIGTERM subprocess path.
+lease reclaim, the breaker's open/half-open cycle, and the drain
+sequence including the real-SIGTERM subprocess path.
 """
 
 import json
@@ -14,24 +13,17 @@ import os
 import signal
 import subprocess
 import sys
-import threading
 import time
 
 import pytest
 
-from repro.experiments.runner import ExperimentProfile
 from repro.service.client import (
     ServiceError,
     get_health,
     get_stats,
     submit_job,
 )
-from repro.service.dispatcher import (
-    BreakerOpenError,
-    Dispatcher,
-    _spec_for,
-    normalize_request,
-)
+from repro.service.dispatcher import BreakerOpenError, Dispatcher
 from repro.service.queue import JobQueue, JobState, TransitionError
 from repro.service.server import ServerThread
 
@@ -215,87 +207,13 @@ class TestContainmentDurability:
 
 
 # ----------------------------------------------------------------------
-# Dispatcher: deadline-driven in-flight waits with an expiry path.
+# Dispatcher: lease reclaim.
 # ----------------------------------------------------------------------
-
-def _cells_of(payload):
-    request = normalize_request(payload)
-    profile = ExperimentProfile.by_name(request["profile"])
-    return _spec_for(request, profile).jobs(profile)
-
-
-class TestWaitReclaim:
-    """The fix for the old hardcoded ``event.wait(timeout=600.0)``: an
-    expired wait now reclaims the signature and recomputes instead of
-    silently proceeding without a result."""
-
-    def _dispatcher(self, tmp_path):
-        queue = JobQueue(tmp_path / "queue")
-        return Dispatcher(queue, tmp_path / "cache", jobs=1, max_batch=8)
-
-    def test_expired_foreign_wait_reclaims_and_recomputes(self, tmp_path):
-        dispatcher = self._dispatcher(tmp_path)
-        # A dead owner: the cell's signature is registered under an
-        # event nothing will ever set.
-        [timed] = [c for c in _cells_of(PAYLOAD) if c.kind == "timed"]
-        dispatcher._inflight._events[timed.signature()] = threading.Event()
-        dispatcher.wait_timeout = 0.2
-        job = dispatcher.submit(PAYLOAD, "alice")
-        started = time.monotonic()
-        assert dispatcher.drain_once() == 1
-        # Bounded: one configured deadline, not 600 s.
-        assert time.monotonic() - started < 30.0
-        assert dispatcher.queue.get(job.id).state is JobState.DONE
-        assert dispatcher.stats.timeouts == 1
-        # The reclaimed signature was re-registered and released: no
-        # stale entry survives for later batches to wait on.
-        assert dispatcher._inflight._events == {}
-        dispatcher.queue.close()
-
-    def test_expired_dependency_wait_reclaims_and_recomputes(self, tmp_path):
-        """Same contract for the pre-execution dependency wait: the
-        batch computes the dependency itself rather than executing
-        against an artifact that never arrived."""
-        dispatcher = self._dispatcher(tmp_path)
-        [timed] = [c for c in _cells_of(PAYLOAD) if c.kind == "timed"]
-        trace = [d for d in timed.dependencies() if d.kind == "trace"][0]
-        dispatcher._inflight._events[trace.signature()] = threading.Event()
-        dispatcher.wait_timeout = 0.2
-        job = dispatcher.submit(PAYLOAD, "alice")
-        assert dispatcher.drain_once() == 1
-        assert dispatcher.queue.get(job.id).state is JobState.DONE
-        assert dispatcher.stats.timeouts == 1
-        assert dispatcher._inflight._events == {}
-        dispatcher.queue.close()
-
-    def test_satisfied_wait_does_not_count_as_timeout(self, tmp_path):
-        """An owner that finishes inside the deadline keeps the fast
-        path: no reclaim, no timeout tally."""
-        dispatcher = self._dispatcher(tmp_path)
-        [timed] = [c for c in _cells_of(PAYLOAD) if c.kind == "timed"]
-        event = threading.Event()
-        dispatcher._inflight._events[timed.signature()] = event
-        dispatcher.wait_timeout = 30.0
-        job = dispatcher.submit(PAYLOAD, "alice")
-        # The "owner" finishes shortly after the batch starts waiting.
-        # It never stores the artifact, so the waiter's recompute-free
-        # path would 404 — but assembly recomputes inline (the PR 4
-        # fallback), which is exactly the "correct, just slower" story.
-        timer = threading.Timer(0.3, event.set)
-        timer.start()
-        try:
-            assert dispatcher.drain_once() == 1
-        finally:
-            timer.cancel()
-        assert dispatcher.queue.get(job.id).state is JobState.DONE
-        assert dispatcher.stats.timeouts == 0
-        dispatcher.queue.close()
-
 
 class TestLeaseReclaimDispatch:
     def test_expired_lease_routed_through_containment(self, tmp_path):
-        """A RUNNING job whose lease expired (dead drain slot) is
-        retried — and a repeat offender quarantines — without any
+        """A RUNNING job whose lease expired (a batch that left no
+        verdict) is retried — and a repeat offender quarantines — without any
         worker ever touching it."""
         queue = JobQueue(tmp_path / "queue")
         dispatcher = Dispatcher(

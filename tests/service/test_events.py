@@ -237,7 +237,7 @@ class TestJobTracer:
 def _sample_snapshot():
     """A minimal but shape-faithful dispatcher snapshot."""
     return {
-        "schema_version": 3,
+        "schema_version": 4,
         "started_at": 1000.0,
         "uptime_seconds": 12.5,
         "queue": {
@@ -253,7 +253,7 @@ def _sample_snapshot():
             "session": {"sim": {"hits": 4, "misses": 5}},
             "lifetime": {},
         },
-        "workers": {"count": 1, "active": 0, "inflight_cells": 0,
+        "workers": {"active": 0, "inflight_cells": 0,
                     "utilization": 0.25},
         "events": {"published": 40, "dropped": 0, "subscribers": 1,
                    "jobs_traced": 9, "jobs_retained": 9},

@@ -288,16 +288,16 @@ class TestNoFaults:
         assert containment["pool_crashes"] == 0
 
 
-class TestShutdownReachesPrivatePool:
-    def test_shutdown_kills_a_bisection_pool_mid_hang(self, tmp_path):
-        """Shutting the shared pool down while a batch hangs on its
-        private bisection pool kills that pool's workers at once, fails
-        the unfinished cell as ``shutdown`` and lets ``run_contained``
-        return, instead of leaving the worker hung until the deadline.
+class TestShutdownDuringBisection:
+    def test_shutdown_kills_the_pool_mid_bisection_hang(self, tmp_path):
+        """Shutting the pool down while a bisection half hangs on it
+        kills the pool's workers at once, fails the unfinished cell as
+        ``shutdown`` and lets ``run_contained`` return, instead of
+        leaving the worker hung until the deadline.
 
-        One worker makes the order exact: the kill cell breaks the
-        shared pool before the hang cell starts, bisection isolates the
-        kill on the private pool, and the hang then runs there."""
+        One worker makes the order exact: the kill cell breaks the pool
+        before the hang cell starts, bisection isolates the kill on the
+        respawned pool, and the hang then runs on the next respawn."""
         poison, hung = (
             Job("timed", "li_like", dvi=DVIConfig.none(),
                 machine=MachineConfig.micro97().with_phys_regs(size))
@@ -342,3 +342,4 @@ class TestShutdownReachesPrivatePool:
         failures = reports[0].failures
         assert failures[poison.signature()].kind == "crash"
         assert failures[hung.signature()].kind == "shutdown"
+        assert shared.rebuilds >= 2  # the kill, then the bisected kill

@@ -96,7 +96,7 @@ class TestMixedLoadExactlyOnce:
         cold cell simulated exactly once."""
         with ServerThread(
             tmp_path / "queue", tmp_path / "cache",
-            workers=2, max_batch=4, quota=32, max_queue_depth=128,
+            max_batch=4, quota=32, max_queue_depth=128,
         ) as service:
             result = run_load(
                 service.url,

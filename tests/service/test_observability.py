@@ -28,7 +28,7 @@ from repro.service.client import (
     submit_job,
     poll_job,
 )
-from repro.service.metrics import parse_prometheus
+from repro.service.metrics import _GAUGE_KEYS, parse_prometheus
 from repro.service.server import ServerThread
 
 PAYLOAD = {
@@ -147,7 +147,7 @@ class TestMetricsEndpoint:
         text = get_metrics(service.url)
         parsed = parse_prometheus(text)
         assert parsed["repro_queue_depth"] == 0.0
-        assert parsed["repro_schema_version"] == 3.0
+        assert parsed["repro_schema_version"] == 4.0
         assert parsed['repro_queue_jobs{state="done"}'] >= 1.0
         assert any(
             name.startswith("repro_stage_latency_seconds_bucket")
@@ -164,9 +164,41 @@ class TestMetricsEndpoint:
         assert response.headers["Content-Type"].startswith("text/plain")
         assert "version=0.0.4" in response.headers["Content-Type"]
 
+    def test_series_that_can_go_down_are_gauges(self, tmp_path):
+        """Every ``_GAUGE_KEYS`` name is rendered and typed ``gauge``,
+        and so are the values that drop and the configured limits: a
+        counter that goes down reads as a reset to ``rate()``."""
+        with ServerThread(
+            tmp_path / "queue", tmp_path / "cache",
+            jobs=2, quota=4, max_queue_depth=8, job_timeout=60,
+        ) as service:
+            text = get_metrics(service.url)
+        types = dict(
+            line.split()[2:4] for line in text.splitlines()
+            if line.startswith("# TYPE ")
+        )
+        for name in sorted(_GAUGE_KEYS):
+            assert types.get(name) == "gauge", name
+        for name in (
+            "repro_queue_compaction_journal_events",
+            "repro_workers_utilization",
+            "repro_containment_breaker_open",
+            "repro_workers_warm_pool_live",
+            "repro_workers_max_batch",
+            "repro_workers_pool_size",
+            "repro_workers_warm_pool_workers",
+            "repro_containment_max_attempts",
+            "repro_admission_max_body_bytes",
+            "repro_admission_quota",
+            "repro_admission_max_queue_depth",
+            "repro_containment_job_timeout",
+        ):
+            assert types[name] == "gauge", name
+        assert types["repro_dispatcher_cells_executed"] == "counter"
+
     def test_stats_satellite_fields(self, service):
         stats = get_stats(service.url)
-        assert stats["schema_version"] == 3
+        assert stats["schema_version"] == 4
         assert stats["started_at"] > 0
         assert stats["uptime_seconds"] >= 0
         time.sleep(0.05)
@@ -280,6 +312,31 @@ class TestWatchCLI:
         assert len(lines) == 4
         parsed = [json.loads(line) for line in lines]
         assert parsed[0]["event"] == "hello"
+
+
+class TestStatusCLI:
+    def test_status_prints_every_section(self, service):
+        receipt = submit_job(service.url, PAYLOAD, client="status")
+        poll_job(service.url, receipt["id"], timeout=120.0)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["status", "--url", service.url]) == 0
+        lines = out.getvalue().splitlines()
+        for prefix in ("queue depth:", "journal:", "submissions:",
+                       "batches:", "containment:", "pool size:"):
+            assert any(line.startswith(prefix) for line in lines), prefix
+        assert "cells executed: 1" in out.getvalue()
+
+    def test_status_job_prints_the_record(self, service):
+        receipt = submit_job(service.url, PAYLOAD, client="status")
+        poll_job(service.url, receipt["id"], timeout=120.0)
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert main(["status", "--url", service.url,
+                         "--job", receipt["id"]]) == 0
+        record = json.loads(out.getvalue())
+        assert record["id"] == receipt["id"]
+        assert record["state"] == "done"
 
 
 class TestLogJson:

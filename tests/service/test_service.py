@@ -352,13 +352,36 @@ class TestHTTPService:
     def test_stats_expose_worker_and_compaction_counters(self, tmp_path):
         with ServerThread(tmp_path / "queue", tmp_path / "cache") as service:
             stats = get_stats(service.url)
-            workers = stats["workers"]
-            assert workers["count"] == 1 and workers["active"] == 0
+            assert stats["workers"]["active"] == 0
             compaction = stats["queue"]["compaction"]
             assert compaction["generation"] == 0
             assert compaction["compactions"] == 0
-            assert stats["dispatcher"]["cells_deduped_inflight"] == 0
-            assert stats["dispatcher"]["overlapped_batches"] == 0
+
+    def test_stats_read_mid_flush_counts_each_tally_once(self, tmp_path):
+        """A stats read racing the drain thread's per-batch counter
+        flush sees every cache tally once, not both in the session
+        totals and in the live counters the flush has yet to
+        subtract."""
+        queue = JobQueue(tmp_path / "queue")
+        dispatcher = Dispatcher(queue, tmp_path / "cache")
+        dispatcher.submit(dict(PAYLOAD), "alice")
+        seen = []
+        reader = threading.Thread(target=lambda: seen.append(
+            dispatcher.snapshot()["cache"]["session"]
+        ))
+        flush = dispatcher.cache.flush_counters
+
+        def racing_flush():
+            reader.start()
+            reader.join(timeout=0.5)  # the reader waits for the flush
+            flush()
+
+        dispatcher.cache.flush_counters = racing_flush
+        assert dispatcher.drain_once() == 1
+        reader.join(timeout=10.0)
+        assert seen == [dispatcher.snapshot()["cache"]["session"]]
+        assert seen[0]["timed"]["misses"] == 1
+        queue.close()
 
     def test_compact_endpoint_snapshots_live_queue(self, tmp_path):
         with ServerThread(tmp_path / "queue", tmp_path / "cache") as service:

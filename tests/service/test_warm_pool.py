@@ -176,7 +176,7 @@ class TestMidSubmitCrash:
         no cell was classified as leftover, and the dispatcher went on
         to assemble — recomputing the poison in-process, outside
         containment.  Every cell must come back as leftover so the
-        caller bisects/re-runs it on a private pool."""
+        caller bisects/re-runs it."""
         warm = _StubWarmPool(_BrokenAtSecondSubmit())
         cells = [_StubCell("cell-a"), _StubCell("cell-b"), _StubCell("cell-c")]
         results, errors, hung, leftover, crashed = _run_group(
@@ -231,7 +231,7 @@ class TestKillRebuildsPool:
         assert pool["live"]
         assert pool["reuses"] > 0
         assert pool["rebuilds"] >= mid["rebuilds"]
-        # Bisection and innocent re-runs happened on a private pool:
-        # the containment counters tell the same story as ever.
+        # Bisection and innocent re-runs respawned the same pool: the
+        # containment counters tell the same story as ever.
         assert stats["containment"]["pool_crashes"] >= 2
         assert stats["containment"]["quarantined"] == 1
