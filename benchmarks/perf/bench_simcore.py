@@ -18,7 +18,9 @@ trajectory of the simulator is tracked in-tree, PR over PR:
   (``OutOfOrderCore.run``, the kernel's oracle), with
   ``kernel_over_oracle``, the throughput ratio;
 * **superblocks** — the compiled shape of the hot workload (blocks,
-  mean block length) and fused-dispatch vs per-pc-dispatch throughput;
+  mean block length) and fused-dispatch vs per-pc-dispatch throughput,
+  the per-pc number taken with ``repro.sim.functional.compile_program``
+  patched to return no blocks;
 * **run-all** — wall-clock seconds of ``python -m repro run-all`` on a
   chosen profile, cold (fresh cache directory; everything simulated and
   stored) and warm (second invocation; everything replayed from the
@@ -75,7 +77,8 @@ except ImportError:  # pragma: no cover - baseline revisions only
 
 try:  # superblocks landed after the specialization rewrite; keep this
     # harness droppable onto older trees (the dimension is just skipped).
-    from repro.sim.compile import compile_program  # noqa: E402
+    from repro.sim import functional  # noqa: E402
+    from repro.sim.compile import CompiledProgram, compile_program  # noqa: E402
 except ImportError:  # pragma: no cover - baseline revisions only
     compile_program = None
 
@@ -163,16 +166,13 @@ def bench_superblocks() -> dict:
     program = get_program(HOT_WORKLOAD, 1)
     compiled = compile_program(program)
 
-    def measure(superblocks: bool):
+    def measure():
         insts = 0
 
         def once() -> float:
             nonlocal insts
             started = time.perf_counter()
-            result = run_program(
-                program, DVIConfig.none(),
-                collect_trace=True, superblocks=superblocks,
-            )
+            result = run_program(program, DVIConfig.none(), collect_trace=True)
             elapsed = time.perf_counter() - started
             insts = result.stats.program_insts
             return elapsed
@@ -180,8 +180,15 @@ def bench_superblocks() -> dict:
         elapsed = _best(once)
         return insts, elapsed
 
-    insts, fused = measure(True)
-    _, per_pc = measure(False)
+    def no_blocks(program):
+        return CompiledProgram(program.name, len(program.insts), [], [], [])
+
+    insts, fused = measure()
+    functional.compile_program = no_blocks
+    try:
+        _, per_pc = measure()
+    finally:
+        functional.compile_program = compile_program
     return {
         "blocks_compiled": compiled.n_blocks,
         "mean_block_len": round(compiled.mean_block_len, 2),

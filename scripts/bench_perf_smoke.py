@@ -11,17 +11,22 @@ Three checks, quick enough for every CI run:
    must exist and report compiled blocks, or superblock compilation
    silently stopped engaging.
 
-2. **Superblock byte-identity** — ``run-all`` on the tiny profile with
-   superblocks enabled and disabled (``REPRO_SUPERBLOCKS=0``), fresh
-   cache dirs, JSON manifests compared byte for byte.  Fused dispatch
-   is an optimization, not a semantic: any divergence fails the build.
+Both identity checks compare against one tiny-profile ``run-all`` made
+in this process as the code ships (fused dispatch, native timing
+kernel); every run gets a fresh cache dir, and JSON manifests are
+compared byte for byte.
 
-3. **Kernel byte-identity** — the same tiny ``run-all``, in this
-   process, once on the native timing kernel and once with
+2. **Fused ≡ per-pc** — the same ``run-all`` with
+   ``repro.sim.functional.compile_program`` patched to return no blocks,
+   so every instruction steps through its per-pc closure.  The patch
+   must have been called, so the check proves the per-pc arm ran.
+   Fused dispatch is an optimization, not a semantic: any divergence
+   fails the build.
+
+3. **Native kernel ≡ oracle** — the same ``run-all`` with
    ``repro.experiments.runner.simulate`` swapped for the Python core
-   (the kernel's oracle).  The manifests must be byte-identical, and
-   the kernel must have loaded, so the check proves it is the path that
-   ran.
+   (the kernel's oracle).  The kernel must have loaded, so the check
+   proves it is the path that ran.
 
 Usage::
 
@@ -44,12 +49,11 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 SRC = str(REPO_ROOT / "src")
 
 
-def _env(**overrides: str) -> dict:
+def _env() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = SRC + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    env.update(overrides)
     return env
 
 
@@ -75,30 +79,53 @@ def check_bench_harness(tmp: Path) -> None:
           f"{report['metrics']['timing_oracle']['kernel_over_oracle']}x")
 
 
-def check_byte_identity(tmp: Path) -> None:
-    outputs = {}
-    for mode, overlay in (("fused", {}), ("per_pc", {"REPRO_SUPERBLOCKS": "0"})):
-        out_json = tmp / f"run_all_{mode}.json"
-        cache_dir = tmp / f"cache_{mode}"
-        subprocess.run(
-            [sys.executable, "-m", "repro", "run-all", "--profile", "tiny",
-             "--cache-dir", str(cache_dir), "--json", str(out_json)],
-            env=_env(**overlay), check=True, cwd=REPO_ROOT,
-            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
-        )
-        outputs[mode] = out_json.read_bytes()
-    if outputs["fused"] != outputs["per_pc"]:
+def run_all(tmp: Path, label: str) -> bytes:
+    """The manifest of a tiny ``run-all`` through the CLI, in this process."""
+    from repro.__main__ import main as cli
+
+    out_json = tmp / f"run_all_{label}.json"
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        status = cli([
+            "run-all", "--profile", "tiny",
+            "--cache-dir", str(tmp / f"cache_{label}"),
+            "--json", str(out_json),
+        ])
+    if status != 0:
+        raise SystemExit(f"FAIL: run-all ({label}) exited {status}")
+    return out_json.read_bytes()
+
+
+def check_fused_matches_per_pc(tmp: Path, shipped: bytes) -> None:
+    from repro.sim import functional
+    from repro.sim.compile import CompiledProgram
+
+    compile_program = functional.compile_program
+    calls = 0
+
+    def no_blocks(program):
+        nonlocal calls
+        calls += 1
+        return CompiledProgram(program.name, len(program.insts), [], [], [])
+
+    functional.compile_program = no_blocks
+    try:
+        per_pc = run_all(tmp, "per_pc")
+    finally:
+        functional.compile_program = compile_program
+    if not calls:
+        raise SystemExit("FAIL: the per-pc arm never asked for blocks - "
+                         "it did not run the engine it claims to check")
+    if shipped != per_pc:
         raise SystemExit(
-            "FAIL: run-all manifest with superblocks enabled differs from "
+            "FAIL: run-all manifest with fused dispatch differs from "
             "per-pc dispatch - fused codegen has diverged semantically"
         )
-    print(f"byte-identity ok: {len(outputs['fused'])} manifest bytes "
-          "identical with superblocks on and off")
+    print(f"fused byte-identity ok: {len(shipped)} manifest bytes identical "
+          f"with fused and per-pc dispatch ({calls} simulators ran per-pc)")
 
 
-def check_kernel_matches_oracle(tmp: Path) -> None:
-    sys.path.insert(0, SRC)
-    from repro.__main__ import main as cli
+def check_kernel_matches_oracle(tmp: Path, shipped: bytes) -> None:
     from repro.experiments import runner
     from repro.sim.ooo import native
     from repro.sim.ooo.core import OutOfOrderCore
@@ -108,33 +135,17 @@ def check_kernel_matches_oracle(tmp: Path) -> None:
             f"FAIL: the native timing kernel did not load: {native.KERNEL.reason}"
         )
     kernel = runner.simulate
-    engines = {
-        "kernel": kernel,
-        "oracle": lambda config, trace: OutOfOrderCore(config, trace).run(),
-    }
-    outputs = {}
-    for engine, simulate in engines.items():
-        out_json = tmp / f"run_all_{engine}.json"
-        runner.simulate = simulate
-        try:
-            with contextlib.redirect_stdout(io.StringIO()), \
-                    contextlib.redirect_stderr(io.StringIO()):
-                status = cli([
-                    "run-all", "--profile", "tiny",
-                    "--cache-dir", str(tmp / f"cache_{engine}"),
-                    "--json", str(out_json),
-                ])
-        finally:
-            runner.simulate = kernel
-        if status != 0:
-            raise SystemExit(f"FAIL: run-all on the {engine} exited {status}")
-        outputs[engine] = out_json.read_bytes()
-    if outputs["kernel"] != outputs["oracle"]:
+    runner.simulate = lambda config, trace: OutOfOrderCore(config, trace).run()
+    try:
+        oracle = run_all(tmp, "oracle")
+    finally:
+        runner.simulate = kernel
+    if shipped != oracle:
         raise SystemExit(
             "FAIL: run-all manifest on the native timing kernel differs from "
             "the Python core's - the kernel has diverged from its oracle"
         )
-    print(f"kernel byte-identity ok: {len(outputs['kernel'])} manifest bytes "
+    print(f"kernel byte-identity ok: {len(shipped)} manifest bytes "
           "identical on the native kernel and on the Python core")
 
 
@@ -142,8 +153,10 @@ def main() -> int:
     with tempfile.TemporaryDirectory(prefix="bench-perf-smoke-") as tmp:
         tmp_path = Path(tmp)
         check_bench_harness(tmp_path)
-        check_byte_identity(tmp_path)
-        check_kernel_matches_oracle(tmp_path)
+        sys.path.insert(0, SRC)
+        shipped = run_all(tmp_path, "shipped")
+        check_fused_matches_per_pc(tmp_path, shipped)
+        check_kernel_matches_oracle(tmp_path, shipped)
     print("bench-perf-smoke: PASS")
     return 0
 

@@ -61,7 +61,7 @@ DESIGN_REQUIRED = (
     "superinstruction",
     "fused",
     "per-pc",
-    "REPRO_SUPERBLOCKS",
+    "no switch",
     "SUPERBLOCK_VERSION",
     "warm worker pool",
     "rebuild",

@@ -345,11 +345,12 @@ class ArtifactCache:
         the key a completed job advertises *is* the artifact digest, so
         the read needs no key-tuple reconstruction.
 
-        A load that fails with the file *present* (torn pickle,
-        truncation, I/O error) heals the entry: the unreadable file is
-        unlinked (tolerating a racing unlink or gc) and tallied under
-        the ``corrupt`` counter, so the next probe misses cleanly and
-        the key is recomputed instead of poisoned forever.
+        A load that fails with the file *present* (torn or garbled
+        pickle, I/O error, a payload its class refuses) heals the
+        entry: the unreadable file is unlinked (tolerating a racing
+        unlink or gc) and tallied under the ``corrupt`` counter, so the
+        next probe misses cleanly and the key is recomputed instead of
+        poisoned forever.
         """
         hit, value = self._read(kind, digest)
         self._tally(kind, hit)
@@ -369,11 +370,11 @@ class ArtifactCache:
                 return True, pickle.load(handle)
         except FileNotFoundError:
             return False, None
-        except (OSError, pickle.UnpicklingError, EOFError, AttributeError,
-                ImportError, IndexError):
+        except Exception:
             # Anything the file's presence promised but its bytes could
-            # not deliver.  (The unpickler surfaces garbage opcodes as
-            # a grab-bag of exception types, not just UnpicklingError.)
+            # not deliver: damaged bytes surface as a dozen exception
+            # types (UnicodeDecodeError, MemoryError, ...), not just
+            # UnpicklingError, and a payload's __setstate__ may refuse.
             self._heal(kind, digest)
             return False, None
 

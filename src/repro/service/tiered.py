@@ -291,12 +291,12 @@ class TieredArtifactCache(ArtifactCache):
             url = f"{peer}/v1/results/{digest}"
             try:
                 raw = self._fetch(url, self.peer_timeout)
+                if raw is None:
+                    continue
+                value = raw.decode("utf-8") if isinstance(raw, bytes) else raw
             except Exception:
                 self.tiers["peer"].errors += 1
                 continue
-            if raw is None:
-                continue
-            value = raw.decode("utf-8") if isinstance(raw, bytes) else raw
             self.tiers["peer"].hits += 1
             self._promote_local(kind, digest, value, "peer")
             if self.shared is not None:

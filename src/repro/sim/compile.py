@@ -1,8 +1,8 @@
 """Superinstruction (basic-block) compilation for the functional engine.
 
-PR 2's decode-time specialization put one closure behind every static
-instruction; the inner loop still pays one Python call, one result-tuple
-unpack, one per-pc counter bump, and five column appends *per executed
+Decode-time specialization puts one closure behind every static
+instruction; stepping one still pays one Python call, one result-tuple
+unpack, one per-pc counter bump, and four column appends *per executed
 instruction*.  This module removes the per-instruction tax for
 straight-line code by compiling each **basic block** into a single
 generated Python function — a "superinstruction":
@@ -26,9 +26,9 @@ generated Python function — a "superinstruction":
   per-pc handlers would; destination-liveness bits of plain definitions
   are OR-folded into single ``lvm._mask |=`` constants between hook
   calls.
-* **Bulk trace appends** — the five dynamic columns are appended once
+* **Bulk trace appends** — the four dynamic columns are appended once
   per block via ``list.extend`` with tuples whose static positions
-  (pcs, next-pcs, most flags/frees/addrs) are compile-time constants.
+  (pcs, most flags/frees/addrs) are compile-time constants.
 * **Batched counters** — the dispatch loop bumps one block-level
   counter per execution; :meth:`repro.sim.functional.FunctionalSimulator
   ._sync_stats` folds block counts back into per-pc counts.
@@ -51,14 +51,13 @@ state is observable through the public API — are bit-identical.
 :data:`SUPERBLOCK_VERSION` is folded into
 :func:`repro.experiments.cache.code_version`, so artifact-cache keys
 change whenever the superblock codegen changes and stale artifacts can
-never be served.  The ``REPRO_SUPERBLOCKS=0`` environment variable
-(inherited by spawned pool workers) is the global escape hatch back to
-pure per-pc dispatch.
+never be served.  There is no switch to turn the blocks off: the
+dispatch loop uses a block wherever one starts, and the per-pc closures
+everywhere else.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, TYPE_CHECKING
 
@@ -71,13 +70,10 @@ if TYPE_CHECKING:  # pragma: no cover
 
 #: Bump when the generated code's semantics or layout change; folded into
 #: the artifact-cache ``code_version`` digest.
-SUPERBLOCK_VERSION = 1
+SUPERBLOCK_VERSION = 2
 
 #: Longest straight-line run fused into one function; longer runs chain.
 MAX_BLOCK_LEN = 64
-
-#: Environment escape hatch (``REPRO_SUPERBLOCKS=0`` disables fusion).
-SUPERBLOCKS_ENV = "REPRO_SUPERBLOCKS"
 
 _MASK32 = 0xFFFF_FFFF
 
@@ -85,11 +81,6 @@ _MASK32 = 0xFFFF_FFFF
 #: falls through.  Control transfers and ``halt`` terminate blocks and
 #: stay on the per-pc handlers.
 _HALT = int(Opcode.HALT)
-
-
-def superblocks_enabled() -> bool:
-    """Whether superblock dispatch is globally enabled (env escape hatch)."""
-    return os.environ.get(SUPERBLOCKS_ENV, "1") != "0"
 
 
 def _fusable(op: int) -> bool:
@@ -646,7 +637,7 @@ def _generate_source(name: str, n: int, blocks: List[tuple],
             "    on_return = engine.on_return",
         ])
     if trace:
-        out.append("    xp, xa, xn, xfree, xflag = cols")
+        out.append("    xp, xa, xfree, xflag = cols")
     out.append(f"    blocks = [None] * {n + 1}")
     for start, length in blocks:
         end = start + length
@@ -680,17 +671,12 @@ def _generate_source(name: str, n: int, blocks: List[tuple],
         tail = emitted[-1]
         if trace:
             pcs = ", ".join(str(pc) for pc in range(start, end))
-            nxt = ", ".join(
-                [str(pc + 1) for pc in range(start, end - 1)]
-                + [tail.next or str(end)]
-            )
             addrs = ", ".join(e.addr for e in emitted)
             flags = ", ".join(e.flags for e in emitted)
             frees = ", ".join(e.free for e in emitted)
             comma = "," if length == 1 else ""
             body.append(f"xp(({pcs}{comma}))")
             body.append(f"xa(({addrs}{comma}))")
-            body.append(f"xn(({nxt}{comma}))")
             body.append(f"xfree(({frees}{comma}))")
             body.append(f"xflag(({flags}{comma}))")
         body.append(f"return {tail.next or str(end)}")

@@ -44,22 +44,19 @@ non-control handlers return one pre-built constant tuple, branch
 handlers pick between two.
 
 On top of the per-pc closures, :mod:`repro.sim.compile` fuses each
-basic block into one exec-compiled "superinstruction" function; the
-inner loop dispatches block-at-a-time where a compiled block starts at
-the current pc and fits in the remaining step budget, and falls back to
-the per-pc closures everywhere else (control transfers, block-interior
-entry pcs after computed jumps, budget slivers).  Superblocks preserve
-the trace columns, counters, and architectural effects bit-for-bit;
-``superblocks=False`` (or the ``REPRO_SUPERBLOCKS=0`` environment
-escape hatch) pins the engine to pure per-pc dispatch.
+basic block into one exec-compiled "superinstruction" function.  There
+is one dispatch loop and no switch: at each pc it runs the compiled
+block that starts there if the block fits in the remaining step budget,
+and the per-pc closure otherwise (``halt``, block-interior entry pcs
+after computed jumps, budget slivers).  Superblocks preserve the trace
+columns, counters, and architectural effects bit-for-bit.  A run that
+collects the live-register histogram installs no blocks, because the
+histogram samples the LVM after every instruction, so it steps per pc.
 
 One slow-path feature delegates to the retained reference interpreter
 (:mod:`repro.sim.reference`): ``verify_dvi``, whose per-step poison
-checks would burden every handler.  (``collect_live_hist`` stays on the
-fast path: the LVM is sampled inline after each step's liveness
-update, which also pins it to per-pc dispatch.)  The differential fuzz
-tests run both engines over the same programs and assert identical
-results.
+checks would burden every handler.  The differential fuzz tests run
+both engines over the same programs and assert identical results.
 """
 
 from __future__ import annotations
@@ -75,7 +72,7 @@ from repro.isa import registers as regs
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OP_CLASS_CODE, Opcode
 from repro.program.program import STACK_TOP, Program
-from repro.sim.compile import compile_program, superblocks_enabled
+from repro.sim.compile import compile_program
 from repro.sim.reference import decode_reference, execute_reference
 from repro.sim.trace import (
     FLAG_ELIMINATED,
@@ -610,7 +607,6 @@ class FunctionalSimulator:
         collect_trace: bool = True,
         collect_live_hist: bool = False,
         verify_dvi: bool = False,
-        superblocks: Optional[bool] = None,
     ) -> None:
         program.require_linked()
         self.program = program
@@ -620,7 +616,6 @@ class FunctionalSimulator:
         self.collect_trace = collect_trace
         self.collect_live_hist = collect_live_hist
         self.verify_dvi = verify_dvi
-        self.superblocks = superblocks
 
         self._sentinel = len(program.insts)
 
@@ -727,25 +722,21 @@ class FunctionalSimulator:
         # beats array.append), converted to arrays by :meth:`result`.
         self._c_pcs: List[int] = []
         self._c_addrs: List[int] = []
-        self._c_next: List[int] = []
         self._c_free: List[int] = []
         self._c_flags: List[int] = []
 
     def _install_superblocks(self) -> None:
         """Bind this simulator's state into the program's compiled blocks.
 
-        ``self._blk_fns`` stays ``None`` (pure per-pc dispatch) when
-        superblocks are disabled, when the live-register histogram needs
-        per-instruction LVM samples, or when the program has no fusable
-        straight-line runs.
+        ``self._blk_fns`` maps each pc to ``(fn, length, block id)`` for
+        the block starting there, or ``None``.  It is all ``None`` when
+        the live-register histogram needs per-instruction LVM samples or
+        the program has no fusable straight-line runs.
         """
-        self._blk_fns = None
+        self._blk_fns: List[Optional[tuple]] = [None] * self._sentinel
         self._bcounts: List[int] = []
         self._compiled = None
-        want = self.superblocks
-        if want is None:
-            want = superblocks_enabled()
-        if not want or self.collect_live_hist:
+        if self.collect_live_hist:
             return
         compiled = compile_program(self.program)
         if not compiled.blocks:
@@ -753,8 +744,7 @@ class FunctionalSimulator:
         cols = None
         if self.collect_trace:
             cols = (self._c_pcs.extend, self._c_addrs.extend,
-                    self._c_next.extend, self._c_free.extend,
-                    self._c_flags.extend)
+                    self._c_free.extend, self._c_flags.extend)
         # With every DVI mechanism off the engine hooks are constant
         # (nothing eliminates, nothing frees): compile the specialized
         # variant that drops the hook calls and batch-updates the
@@ -763,7 +753,6 @@ class FunctionalSimulator:
         nodvi = cfg.scheme is SRScheme.NONE and not cfg.any_dvi
         make = compiled.factory(self.collect_trace, nodvi)
         blk_fns = make(self.regs, self.mem, self.engine, cols)
-        # Single-subscript dispatch table: pc -> (fn, length, block id).
         self._blk_fns = [
             None if fn is None else (fn, compiled.len_by_pc[pc],
                                      compiled.bid_by_pc[pc])
@@ -781,13 +770,16 @@ class FunctionalSimulator:
         it has halted (or returned from the top level).  This is the
         resumable core that the thread scheduler time-slices; :meth:`run`
         drives it once to completion.
+
+        Whenever the current pc starts a compiled block that fits in the
+        remaining budget, the fused function executes the whole block
+        (registers, memory, engine hooks, trace columns); every other pc
+        takes one step through its per-pc closure.
         """
         if self._reference_mode:
             return execute_reference(self, budget)
         if self.halted:
             return False
-        if self._blk_fns is not None:
-            return self._execute_super(budget)
 
         handlers = self._handlers
         counts = self._counts
@@ -798,76 +790,11 @@ class FunctionalSimulator:
         lvm = self.engine.lvm
         saveable = self._saveable
         hist = self.stats.live_hist
-        if collect:
-            ap_pc = self._c_pcs.append
-            ap_addr = self._c_addrs.append
-            ap_next = self._c_next.append
-            ap_free = self._c_free.append
-            ap_flags = self._c_flags.append
-
-        pc = self.pc
-        seq = self._seq
-        end_seq = seq + budget
-        completed = False
-
-        while seq < end_seq:
-            if pc >= sentinel:
-                if pc == sentinel:
-                    completed = True
-                    break
-                raise SimulationError(f"pc out of range: {pc}")
-            next_pc, addr, fl, free_mask = handlers[pc]()
-            counts[pc] += 1
-            if collect:
-                if free_mask:
-                    fl |= FLAG_FREES
-                ap_pc(pc)
-                ap_addr(addr)
-                ap_next(next_pc)
-                ap_free(free_mask)
-                ap_flags(fl)
-            bit = dbits[pc]
-            if bit and not fl & FLAG_ELIMINATED:
-                # engine.on_def, inlined: a renamed destination is live.
-                lvm._mask |= bit
-            if collect_hist:
-                count = bin(lvm._mask & saveable).count("1")
-                hist[count] = hist.get(count, 0) + 1
-            seq += 1
-            if next_pc < 0:
-                completed = True
-                break
-            pc = next_pc
-
-        self.pc = pc
-        self._seq = seq
-        if completed:
-            self.halted = True
-        self._sync_stats()
-        return not self.halted
-
-    def _execute_super(self, budget: int) -> bool:
-        """The block-at-a-time variant of :meth:`execute`.
-
-        Identical observable behavior: whenever the current pc starts a
-        compiled block that fits in the remaining budget, the fused
-        function executes the whole block (registers, memory, engine
-        hooks, trace columns); everything else — control transfers,
-        block-interior entry pcs, budget slivers — takes the per-pc
-        step below, which is the same code as the per-pc loop.
-        """
-        handlers = self._handlers
-        counts = self._counts
-        dbits = self._dbits
-        sentinel = self._sentinel
-        collect = self.collect_trace
-        lvm = self.engine.lvm
         blk_fns = self._blk_fns
         bcounts = self._bcounts
         if collect:
             ap_pc = self._c_pcs.append
             ap_addr = self._c_addrs.append
-            ap_next = self._c_next.append
             ap_free = self._c_free.append
             ap_flags = self._c_flags.append
 
@@ -898,12 +825,15 @@ class FunctionalSimulator:
                     fl |= FLAG_FREES
                 ap_pc(pc)
                 ap_addr(addr)
-                ap_next(next_pc)
                 ap_free(free_mask)
                 ap_flags(fl)
             bit = dbits[pc]
             if bit and not fl & FLAG_ELIMINATED:
+                # engine.on_def, inlined: a renamed destination is live.
                 lvm._mask |= bit
+            if collect_hist:
+                count = bin(lvm._mask & saveable).count("1")
+                hist[count] = hist.get(count, 0) + 1
             seq += 1
             if next_pc < 0:
                 completed = True
@@ -967,19 +897,23 @@ class FunctionalSimulator:
                     completed=self.halted,
                 )
             else:
+                # The pc stays on a halt that ends a run, and nothing
+                # follows it; any other run ends at the pc it would
+                # resume from (the sentinel after a top-level return).
+                at_halt = self.halted and self.pc != self._sentinel
                 trace = Trace.from_columns(
                     self.program.name,
                     self.dvi_config,
                     self.halted,
-                    array("i", self._c_pcs),
-                    array("q", self._c_addrs),
-                    array("i", self._c_next),
-                    array("q", self._c_free),
-                    array("B", self._c_flags),
-                    self._s_op,
-                    self._s_cls,
-                    self._s_dst,
-                    self._s_srcs,
+                    -1 if at_halt else self.pc,
+                    pcs=array("i", self._c_pcs),
+                    addrs=array("q", self._c_addrs),
+                    free_masks=array("q", self._c_free),
+                    flags=array("B", self._c_flags),
+                    s_op=self._s_op,
+                    s_cls=self._s_cls,
+                    s_dst=self._s_dst,
+                    s_srcs=self._s_srcs,
                 )
         return FunctionalResult(
             stats=self.stats,
@@ -1008,7 +942,6 @@ def run_program(
     collect_trace: bool = True,
     collect_live_hist: bool = False,
     verify_dvi: bool = False,
-    superblocks: Optional[bool] = None,
 ) -> FunctionalResult:
     """Convenience wrapper: build a simulator and run it once."""
     sim = FunctionalSimulator(
@@ -1018,6 +951,5 @@ def run_program(
         collect_trace=collect_trace,
         collect_live_hist=collect_live_hist,
         verify_dvi=verify_dvi,
-        superblocks=superblocks,
     )
     return sim.run()

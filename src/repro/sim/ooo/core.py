@@ -141,11 +141,12 @@ class OutOfOrderCore:
         """Simulate to completion and return the statistics."""
         trace = self.trace
         (
-            pcs, addrs, next_pcs, free_masks, flags,
+            pcs, addrs, free_masks, flags,
             s_op, s_cls, s_dst, s_srcs,
         ) = trace.hot_columns()
         replay = trace.replay_rows()
         total = len(pcs)
+        end_pc = trace.end_pc
 
         # Static distance from each pc to its next control transfer
         # (0 at branches/jumps).  Fetch uses it to consume straight-line
@@ -549,7 +550,7 @@ class OutOfOrderCore:
                     fetch_pos += 1
                     control_insts += 1
                     taken = flags[row] & F_TAKEN
-                    next_pc = next_pcs[row]
+                    next_pc = pcs[fetch_pos] if fetch_pos < total else end_pc
                     if s_cls[pc] == CLS_BRANCH:
                         mispredicted = not predict_and_update(pc, taken)
                         if taken:

@@ -42,7 +42,7 @@ from repro.sim.branch.predictors import build_predictor
 from repro.sim.cache.cache import CacheGeometry
 from repro.sim.config import MachineConfig
 from repro.sim.ooo.stats import PipelineStats
-from repro.sim.trace import FLAG_TAKEN, Trace
+from repro.sim.trace import COLUMNS, FLAG_TAKEN, Trace
 
 __all__ = ["KERNEL", "KernelLoader", "mispredict_column", "run_kernel", "simulate"]
 
@@ -63,6 +63,12 @@ _STATS_FIELDS = RESULTS[:-4]
 
 #: The item sizes ``kernel.c`` assumes for each trace column typecode.
 _ITEM_SIZES = {"i": 4, "q": 8, "h": 2, "b": 1, "B": 1}
+
+#: The trace columns ``kernel.c`` reads, in its argument order: the
+#: dynamic ones (the mispredict column follows them), then the static.
+_KERNEL_DYNAMIC = ("pcs", "addrs", "free_masks", "flags")
+_KERNEL_STATIC = ("s_cls", "s_dst", "s_srcs")
+_TYPECODES = dict(COLUMNS)
 
 #: MachineConfig fields the predictor, BTB and RAS never read.  Every
 #: other field keys the mispredict column, so a field added later can
@@ -117,13 +123,13 @@ def _predict(trace: Trace, config: MachineConfig) -> array:
     btb = BranchTargetBuffer(config.btb_sets, config.btb_assoc)
     ras = ReturnAddressStack(config.ras_depth)
     btb_lookup, btb_insert = btb.lookup, btb.insert
-    flags, next_pcs = trace.flags, trace.next_pcs
+    flags, end_pc, last = trace.flags, trace.end_pc, len(pcs) - 1
     is_control = [code == _BRANCH or code == _JUMP for code in s_cls]
     column = array("B", bytes(len(pcs)))
     for row in compress(range(len(pcs)), map(is_control.__getitem__, pcs)):
         pc = pcs[row]
         taken = flags[row] & FLAG_TAKEN
-        next_pc = next_pcs[row]
+        next_pc = pcs[row + 1] if row < last else end_pc
         if s_cls[pc] == _BRANCH:
             mispredicted = not predict_and_update(pc, taken)
             if taken:
@@ -307,13 +313,14 @@ def run_kernel(
     params = (ctypes.c_int64 * len(values))(*values)
     results = (ctypes.c_int64 * len(RESULTS))()
 
-    dynamic = (trace.pcs, trace.addrs, trace.free_masks, trace.flags, column)
-    static = (trace.s_cls, trace.s_dst, trace.s_srcs)
+    dynamic = [getattr(trace, name) for name in _KERNEL_DYNAMIC] + [column]
+    static = [getattr(trace, name) for name in _KERNEL_STATIC]
+    typecodes = ([_TYPECODES[name] for name in _KERNEL_DYNAMIC] + ["B"]
+                 + [_TYPECODES[name] for name in _KERNEL_STATIC])
     total, n_static = len(trace.pcs), len(trace.s_cls)
     if (any(len(col) != total for col in dynamic)
             or any(len(col) != n_static for col in static)
-            or [col.typecode for col in dynamic + static]
-            != ["i", "q", "q", "B", "B", "b", "b", "h"]):
+            or [col.typecode for col in dynamic + static] != typecodes):
         raise SimulationError(
             f"trace {trace.program_name!r} columns are not the columnar layout"
         )

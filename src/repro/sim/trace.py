@@ -11,13 +11,16 @@ flags) decided in program order by the
 
 Storage layout (the perf-critical part): a :class:`Trace` is **columnar**.
 Million-row traces used to be lists of per-row ``TraceRecord`` heap
-objects; they are now parallel ``array`` columns — five *dynamic* columns
+objects; they are now parallel ``array`` columns — four *dynamic* columns
 with one entry per executed instruction, plus four small *static*
 side-tables indexed by ``pc`` for the per-instruction facts that never
 change between dynamic instances (opcode, class, destination, sources).
 This makes trace generation allocation-free per step, lets the timing
 core read plain ints straight out of flat buffers, and pickles as a
 handful of compact byte blobs instead of millions of objects.
+:data:`COLUMNS` is the one table of the eight columns and their array
+typecodes; clearing, adopting, pickling, the replay views and the
+native timing kernel's layout check all read it.
 
 Columns:
 
@@ -26,13 +29,15 @@ column          typecode  contents (one entry per dynamic instruction)
 ==============  ========  ====================================================
 ``pcs``         ``i``     static instruction index (byte address = ``4*pc``)
 ``addrs``       ``q``     byte address touched, or -1 for non-memory ops
-``next_pcs``    ``i``     static index of the next executed instruction
-                          (-1 at ``halt``; the sentinel index at a
-                          top-level return)
 ``free_masks``  ``q``     architectural registers whose physical mappings
                           may be reclaimed when the row commits
 ``flags``       ``B``     bit 0 taken, bit 1 eliminated, bit 2 is-program
 ==============  ========  ====================================================
+
+A row's successor is the next row's pc, so no column stores it; the one
+scalar ``end_pc`` says what would run after the last row: -1 after
+``halt``, the sentinel index after a top-level return, and the resume pc
+when the run was cut at its step budget.
 
 Static side-tables, indexed by ``pc`` (entries for never-executed pcs are
 -1/0):
@@ -46,14 +51,15 @@ Static side-tables, indexed by ``pc`` (entries for never-executed pcs are
 
 The **row-view shim**: ``trace.records`` still yields a list of
 :class:`TraceRecord` objects, materialized lazily from the columns, and
-assigning ``trace.records = [...]`` re-encodes the columns — so tests,
-ad-hoc analysis code, and pickles of the pre-columnar format keep
-working without the hot paths paying for per-row objects.
+assigning ``trace.records = [...]`` re-encodes the columns — so tests
+and ad-hoc analysis code keep working without the hot paths paying for
+per-row objects.
 """
 
 from __future__ import annotations
 
 from array import array
+from itertools import chain, islice
 from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.dvi.config import DVIConfig
@@ -68,9 +74,21 @@ FLAG_PROGRAM = 4
 FLAG_FREES = 8
 
 #: Trace storage-format version.  Baked into the experiment cache keys so
-#: artifacts written by the pre-columnar format (version 1, a pickled
-#: list of TraceRecord objects) can never be confused with columnar ones.
-TRACE_FORMAT = 2
+#: artifacts of an older layout can never be confused with this one.
+TRACE_FORMAT = 3
+
+#: The columns, ``(attribute, array typecode)``: four dynamic ones (one
+#: entry per row), then four static side-tables (one entry per pc).
+COLUMNS = (
+    ("pcs", "i"),
+    ("addrs", "q"),
+    ("free_masks", "q"),
+    ("flags", "B"),
+    ("s_op", "b"),
+    ("s_cls", "b"),
+    ("s_dst", "b"),
+    ("s_srcs", "h"),
+)
 
 _OPCODES = tuple(Opcode)
 _OP_CLASSES = tuple(OpClass)
@@ -109,7 +127,8 @@ class TraceRecord:
         srcs: Source architectural registers (r0 excluded).
         addr: Byte address touched, or -1 for non-memory ops.
         taken: For control transfers, whether the transfer was taken.
-        next_pc: Static index of the next executed instruction (-1 at halt).
+        next_pc: Static index of the next executed instruction (the next
+            row's pc, or the trace's ``end_pc`` on the last row).
         free_mask: Architectural registers whose physical mappings may be
             reclaimed when this record commits (from E-DVI kills or I-DVI at
             calls/returns).
@@ -194,9 +213,8 @@ class Trace:
     """A complete dynamic trace plus its provenance, stored columnar."""
 
     __slots__ = (
-        "program_name", "dvi", "completed",
-        "pcs", "addrs", "next_pcs", "free_masks", "flags",
-        "s_op", "s_cls", "s_dst", "s_srcs",
+        "program_name", "dvi", "completed", "end_pc",
+        *(name for name, _ in COLUMNS),
         "_rows", "_program_insts", "_hot", "_replay", "_mispredicts",
     )
 
@@ -210,6 +228,8 @@ class Trace:
         self.program_name = program_name
         self.dvi = dvi
         self.completed = completed
+        #: What would run after the last row (see the module docstring).
+        self.end_pc = -1
         self._rows: Optional[List[TraceRecord]] = None
         self._program_insts: Optional[int] = None
         self._hot: Optional[tuple] = None
@@ -231,40 +251,20 @@ class Trace:
         program_name: str,
         dvi: DVIConfig,
         completed: bool,
-        pcs: array,
-        addrs: array,
-        next_pcs: array,
-        free_masks: array,
-        flags: array,
-        s_op: array,
-        s_cls: array,
-        s_dst: array,
-        s_srcs: array,
+        end_pc: int,
+        **columns: array,
     ) -> "Trace":
-        """Adopt already-built columns (the emulator's fast path)."""
-        trace = cls(program_name, dvi)
-        trace.completed = completed
-        trace.pcs = pcs
-        trace.addrs = addrs
-        trace.next_pcs = next_pcs
-        trace.free_masks = free_masks
-        trace.flags = flags
-        trace.s_op = s_op
-        trace.s_cls = s_cls
-        trace.s_dst = s_dst
-        trace.s_srcs = s_srcs
+        """Adopt already-built columns, one keyword per :data:`COLUMNS`
+        entry (the emulator's fast path)."""
+        trace = cls(program_name, dvi, completed=completed)
+        trace.end_pc = end_pc
+        for name, _ in COLUMNS:
+            setattr(trace, name, columns[name])
         return trace
 
     def _clear_columns(self) -> None:
-        self.pcs = array("i")
-        self.addrs = array("q")
-        self.next_pcs = array("i")
-        self.free_masks = array("q")
-        self.flags = array("B")
-        self.s_op = array("b")
-        self.s_cls = array("b")
-        self.s_dst = array("b")
-        self.s_srcs = array("h")
+        for name, typecode in COLUMNS:
+            setattr(self, name, array(typecode))
 
     def _encode_records(self, records: List[TraceRecord]) -> None:
         """Rebuild every column from a list of row views."""
@@ -280,14 +280,12 @@ class Trace:
         s_srcs = array("h", [0]) * n_static
         append_pc = self.pcs.append
         append_addr = self.addrs.append
-        append_next = self.next_pcs.append
         append_free = self.free_masks.append
         append_flags = self.flags.append
         for rec in records:
             pc = rec.pc
             append_pc(pc)
             append_addr(rec.addr)
-            append_next(rec.next_pc)
             append_free(rec.free_mask)
             append_flags(
                 (FLAG_TAKEN if rec.taken else 0)
@@ -306,6 +304,7 @@ class Trace:
         self.s_cls = s_cls
         self.s_dst = s_dst
         self.s_srcs = s_srcs
+        self.end_pc = records[-1].next_pc if records else -1
         self._rows = list(records)
 
     # ------------------------------------------------------------------
@@ -319,11 +318,13 @@ class Trace:
         s_cls = self.s_cls
         s_dst = self.s_dst
         s_srcs = self.s_srcs
+        pcs = self.pcs
+        successors = chain(islice(pcs, 1, None), (self.end_pc,))
         rows: List[TraceRecord] = []
         append = rows.append
         seq = 0
         for pc, addr, next_pc, free_mask, fl in zip(
-            self.pcs, self.addrs, self.next_pcs, self.free_masks, self.flags
+            pcs, self.addrs, successors, self.free_masks, self.flags
         ):
             eliminated = bool(fl & FLAG_ELIMINATED)
             append(
@@ -388,7 +389,7 @@ class Trace:
         return sum(1 for fl in self.flags if not fl & FLAG_PROGRAM)
 
     def hot_columns(self) -> tuple:
-        """The nine columns as plain lists, for replay loops.
+        """The eight columns as plain lists, for replay loops.
 
         ``array`` indexing boxes a fresh int object on every read; the
         timing core reads each row's columns a dozen times, so it replays
@@ -396,21 +397,11 @@ class Trace:
         trace and memoized — timing sweeps replay the same trace under
         many machine configurations.
 
-        Returns ``(pcs, addrs, next_pcs, free_masks, flags, s_op, s_cls,
-        s_dst, s_srcs)``.
+        Returns the columns in :data:`COLUMNS` order: ``(pcs, addrs,
+        free_masks, flags, s_op, s_cls, s_dst, s_srcs)``.
         """
         if self._hot is None:
-            self._hot = (
-                list(self.pcs),
-                list(self.addrs),
-                list(self.next_pcs),
-                list(self.free_masks),
-                list(self.flags),
-                list(self.s_op),
-                list(self.s_cls),
-                list(self.s_dst),
-                list(self.s_srcs),
-            )
+            self._hot = tuple(list(getattr(self, name)) for name, _ in COLUMNS)
         return self._hot
 
     def replay_rows(self) -> list:
@@ -424,7 +415,7 @@ class Trace:
         """
         if self._replay is None:
             (
-                pcs, addrs, _next_pcs, _free_masks, flags,
+                pcs, addrs, _free_masks, flags,
                 _s_op, s_cls, s_dst, s_srcs,
             ) = self.hot_columns()
             self._replay = [
@@ -449,23 +440,20 @@ class Trace:
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
-        return {
+        state = {
             "format": TRACE_FORMAT,
             "program_name": self.program_name,
             "dvi": self.dvi,
             "completed": self.completed,
-            "pcs": self.pcs,
-            "addrs": self.addrs,
-            "next_pcs": self.next_pcs,
-            "free_masks": self.free_masks,
-            "flags": self.flags,
-            "s_op": self.s_op,
-            "s_cls": self.s_cls,
-            "s_dst": self.s_dst,
-            "s_srcs": self.s_srcs,
+            "end_pc": self.end_pc,
         }
+        for name, _ in COLUMNS:
+            state[name] = getattr(self, name)
+        return state
 
     def __setstate__(self, state: dict) -> None:
+        # A payload missing a field (an older format) raises KeyError,
+        # and the artifact cache heals the file instead of serving it.
         self._rows = None
         self._program_insts = None
         self._hot = None
@@ -473,20 +461,10 @@ class Trace:
         self._mispredicts = None
         self.program_name = state["program_name"]
         self.dvi = state["dvi"]
-        self.completed = state.get("completed", True)
-        if "records" in state:  # a pre-columnar (format 1) pickle
-            self._clear_columns()
-            self._encode_records(state["records"])
-            return
-        self.pcs = state["pcs"]
-        self.addrs = state["addrs"]
-        self.next_pcs = state["next_pcs"]
-        self.free_masks = state["free_masks"]
-        self.flags = state["flags"]
-        self.s_op = state["s_op"]
-        self.s_cls = state["s_cls"]
-        self.s_dst = state["s_dst"]
-        self.s_srcs = state["s_srcs"]
+        self.completed = state["completed"]
+        self.end_pc = state["end_pc"]
+        for name, _ in COLUMNS:
+            setattr(self, name, state[name])
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

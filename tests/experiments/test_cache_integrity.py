@@ -66,6 +66,22 @@ class TestCorruptHealing:
         assert not path.exists()
         assert cache.counters["service"].corrupt == 1
 
+    def test_undecodable_document_is_healed(self, tmp_path):
+        """One byte of a document set to 0xff leaves the final STOP byte,
+        so the structural probe passes, but unpickling the string raises
+        UnicodeDecodeError: the load must heal it like a torn pickle."""
+        cache = ArtifactCache(tmp_path, version="v1")
+        digest = cache.store("service", ("k",), '{"rows": "document"}')
+        path = _artifact_path(cache, "service", digest)
+        payload = bytearray(path.read_bytes())
+        payload[payload.index(b"document")] = 0xFF
+        path.write_bytes(bytes(payload))
+        assert cache.readable_digest("service", digest)
+
+        assert cache.load_digest("service", digest) == (False, None)
+        assert cache.counters["service"].corrupt == 1
+        assert not path.exists(), "corrupt artifact must be unlinked"
+
     def test_plain_miss_is_not_corrupt(self, tmp_path):
         cache = ArtifactCache(tmp_path, version="v1")
         assert cache.load_digest("service", "0" * 64) == (False, None)

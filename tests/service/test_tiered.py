@@ -140,6 +140,17 @@ class TestPeerFetch:
         assert cache.tiers["peer"].errors == 1
         assert cache.tiers["peer"].hits == 1
 
+    def test_undecodable_peer_body_is_a_peer_error(self, tmp_path):
+        """A body that is not UTF-8 falls through like a dead peer."""
+        cache = TieredArtifactCache(
+            tmp_path / "local", version=VERSION,
+            peers=("http://peer-a:1",),
+            fetcher=lambda url, timeout: b"\xff\xfe not utf-8",
+        )
+        assert cache.readable_digest("service", "89" * 32) is False
+        assert cache.tiers["peer"].errors == 1
+        assert cache.tiers["peer"].hits == 0
+
     def test_peer_404_is_a_miss(self, tmp_path):
         cache = self._peer_cache(tmp_path, lambda url, timeout: None)
         assert cache.load_digest("service", "01" * 32) == (False, None)

@@ -1,6 +1,7 @@
 """Tests for the columnar trace storage and its row-view shim."""
 
 import pickle
+from array import array
 
 import pytest
 
@@ -10,8 +11,13 @@ from repro.isa.opcodes import OpClass, Opcode
 from repro.isa import registers as R
 from repro.program.builder import ProgramBuilder
 from repro.rewrite.edvi import insert_edvi
-from repro.sim.functional import ReferenceSimulator, run_program
+from repro.sim.functional import (
+    FunctionalSimulator,
+    ReferenceSimulator,
+    run_program,
+)
 from repro.sim.trace import (
+    COLUMNS,
     FLAG_ELIMINATED,
     FLAG_FREES,
     FLAG_PROGRAM,
@@ -114,6 +120,7 @@ class TestPickling:
         assert clone.program_name == trace.program_name
         assert clone.dvi == trace.dvi
         assert clone.completed == trace.completed
+        assert clone.end_pc == trace.end_pc
         assert clone.pcs == trace.pcs
         assert clone.flags == trace.flags
         assert_rows_equal(clone.records, trace.records)
@@ -141,20 +148,42 @@ class TestPickling:
             != cache.digest("trace", ("wl", 1, False, dvi, TRACE_FORMAT - 1))
         )
 
-    def test_legacy_record_list_state_restores(self):
-        """A pre-columnar pickle payload (a ``records`` list in the state
-        dict) must still unpickle into a columnar trace."""
+    def test_state_holds_exactly_the_table_columns(self):
         trace = eliminating_trace()
-        legacy_state = {
-            "program_name": trace.program_name,
-            "dvi": trace.dvi,
-            "records": list(trace.records),
-            "completed": trace.completed,
+        state = trace.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
+        assert set(state) == {name for name, _ in COLUMNS} | {
+            "format", "program_name", "dvi", "completed", "end_pc",
         }
-        revived = Trace.__new__(Trace)
-        revived.__setstate__(legacy_state)
-        assert len(revived.pcs) == len(trace)
-        assert_rows_equal(revived.records, trace.records)
+        assert state["format"] == TRACE_FORMAT
+        for name, typecode in COLUMNS:
+            assert state[name].typecode == typecode
+
+    @pytest.mark.parametrize(
+        "field", [name for name, _ in COLUMNS] + ["end_pc"]
+    )
+    def test_payload_missing_a_field_raises(self, field):
+        state = eliminating_trace().__getstate__()
+        del state[field]
+        with pytest.raises(KeyError):
+            Trace.__new__(Trace).__setstate__(state)
+
+    def test_format_2_payload_is_healed_by_the_cache(self, tmp_path,
+                                                     monkeypatch):
+        """A stored trace of the old layout (a ``next_pcs`` column, no
+        ``end_pc``) is a corrupt artifact: a miss, tallied, unlinked."""
+        cache = ArtifactCache(tmp_path, version="test")
+        trace = eliminating_trace()
+        state = trace.__getstate__()
+        state["format"] = 2
+        state["next_pcs"] = array("i", [*trace.pcs[1:], state.pop("end_pc")])
+        monkeypatch.setattr(Trace, "__getstate__", lambda self: state)
+        key = ("wl", 1, True, trace.dvi, 2)
+        digest = cache.store("trace", key, trace)
+        monkeypatch.undo()
+
+        assert cache.lookup("trace", key) == (False, None)
+        assert cache.counters["trace"].corrupt == 1
+        assert not (tmp_path / "trace" / digest[:2] / f"{digest}.pkl").exists()
 
 
 class TestEdgeCases:
@@ -177,6 +206,7 @@ class TestEdgeCases:
         row = trace.records[0]
         assert row.op is Opcode.HALT
         assert row.next_pc == -1
+        assert trace.end_pc == -1
         assert trace.completed
         assert trace.program_insts == 1
 
@@ -190,6 +220,7 @@ class TestEdgeCases:
         assert last.op is Opcode.JR
         # The sentinel return address points one past the program.
         assert last.next_pc == len(b.build().insts)
+        assert trace.end_pc == last.next_pc
 
     def test_incomplete_trace_keeps_completed_false(self):
         b = ProgramBuilder("spin")
@@ -199,3 +230,19 @@ class TestEdgeCases:
         trace = run_program(b.build(), max_steps=25).trace
         assert not trace.completed
         assert len(trace) == 25
+
+    def test_max_steps_cut_ends_at_the_resume_pc(self):
+        b = ProgramBuilder("line")
+        b.label("main")
+        for step in range(10):
+            b.addi(R.T0, R.T0, step)
+        b.halt()
+        program = b.build()
+        sim = FunctionalSimulator(program, max_steps=4)
+        trace = sim.run().trace
+        assert not trace.completed
+        assert trace.end_pc == sim.pc == program.entry_index + 4
+        assert trace.records[-1].next_pc == trace.end_pc
+        # Resuming runs exactly the pc the cut trace ended on.
+        sim.execute(1)
+        assert sim.result().trace.pcs[4] == trace.end_pc

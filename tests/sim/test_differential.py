@@ -11,6 +11,7 @@ data segment, the exit value, and every trace row.
 """
 
 import dataclasses
+import random
 
 import pytest
 
@@ -52,6 +53,8 @@ def assert_equivalent(fast, slow, *, compare_traces=True):
     assert fast.memory == slow.memory
     if compare_traces:
         assert fast.trace is not None and slow.trace is not None
+        assert fast.trace.completed == slow.trace.completed
+        assert fast.trace.end_pc == slow.trace.end_pc
         fast_rows = fast.trace.records
         slow_rows = slow.trace.records
         assert len(fast_rows) == len(slow_rows)
@@ -101,6 +104,31 @@ class TestFuzzDifferential:
         assert fast.stats.live_hist  # non-trivial histogram
         assert fast.stats.live_hist == slow.stats.live_hist
         assert_equivalent(fast, slow, compare_traces=False)
+
+
+class TestCutDifferential:
+    """Runs cut by ``max_steps`` mid-run: the budget lands inside fused
+    blocks, and the last row's successor comes from ``end_pc``."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    @pytest.mark.parametrize(
+        "dvi",
+        [DVIConfig.none(), DVIConfig.full(SRScheme.LVM_STACK)],
+        ids=("none", "lvm-stack"),
+    )
+    def test_cut_fuzz_programs_identical(self, seed, dvi):
+        program = generate_program(seed, FuzzConfig(n_procs=4))
+        if dvi.use_edvi:
+            program = insert_edvi(program).program
+        total = FunctionalSimulator(program, dvi, max_steps=200_000).run()
+        assert total.stats.completed
+        rows = len(total.trace)
+        for cut in sorted(random.Random(seed).sample(range(1, rows), 6)):
+            fast, slow = run_both(program, dvi, max_steps=cut)
+            assert not fast.stats.completed
+            assert len(fast.trace) == cut
+            assert fast.trace.records[-1].next_pc == fast.trace.end_pc
+            assert_equivalent(fast, slow)
 
 
 class TestWorkloadDifferential:

@@ -24,8 +24,6 @@ actually engaged (a broken ``_install_superblocks`` that silently
 falls back per-pc would otherwise vacuously pass this whole file).
 """
 
-import dataclasses
-
 import pytest
 
 from repro.dvi.config import DVIConfig, SRScheme
@@ -267,23 +265,28 @@ class TestDispatchEngaged:
         dvi = DVIConfig.none()
         sim = FunctionalSimulator(program, dvi)
         sim.run()
-        assert sim._blk_fns is not None, "fused dispatch was not installed"
+        assert compile_program(program).n_blocks > 0
+        assert any(blk is not None for blk in sim._blk_fns), (
+            "fused dispatch was not installed"
+        )
         assert sum(sim._bcounts) > 0, "no block function ever executed"
         assert "_superblocks" in program.__dict__
 
-    def test_escape_hatch_disables_compilation(self, monkeypatch):
-        monkeypatch.setenv("REPRO_SUPERBLOCKS", "0")
-        program = tight_loop_program(50).build()
+    def test_live_histogram_runs_step_per_pc(self):
+        """The histogram samples the LVM after every instruction, so a
+        live-hist run executes no block and matches the reference; the
+        same program without it executes blocks."""
         dvi = DVIConfig.full(SRScheme.LVM_STACK)
-        sim = FunctionalSimulator(program, dvi)
+        program = _build(tight_loop_program(50), dvi)
+        sim = FunctionalSimulator(program, dvi, collect_live_hist=True)
         fast = sim.run()
-        assert sim._blk_fns is None
-        slow = ReferenceSimulator(program, dvi).run()
+        assert all(blk is None for blk in sim._blk_fns)
+        assert sum(sim._bcounts) == 0
+        slow = ReferenceSimulator(program, dvi, collect_live_hist=True).run()
+        assert fast.stats.live_hist
+        assert fast.stats.live_hist == slow.stats.live_hist
         assert_equivalent(fast, slow)
 
-    def test_explicit_flag_overrides_environment(self, monkeypatch):
-        monkeypatch.delenv("REPRO_SUPERBLOCKS", raising=False)
-        program = tight_loop_program(50).build()
-        sim = FunctionalSimulator(program, DVIConfig.none(), superblocks=False)
-        sim.run()
-        assert sim._blk_fns is None
+        fused = FunctionalSimulator(program, dvi)
+        fused.run()
+        assert sum(fused._bcounts) > 0
