@@ -70,10 +70,10 @@ PROFILE ?= quick
 bench-perf:
 	$(PYTHON) benchmarks/perf/bench_simcore.py --profile $(PROFILE)
 
-## CI perf-smoke gate: quick simcore bench (fused vs per-pc dispatch,
-## native kernel vs Python core) plus two byte-identity checks on
-## tiny-profile run-all manifests: fused ≡ per-pc (blocks patched away
-## in-process) and native kernel ≡ oracle.
+## CI perf-smoke gate: quick simcore bench (both native engines vs
+## their Python oracles) plus two byte-identity checks on tiny-profile
+## run-all manifests: native functional ≡ Python engine and native
+## kernel ≡ oracle.
 bench-perf-smoke:
 	$(PYTHON) scripts/bench_perf_smoke.py
 

@@ -7,7 +7,11 @@ end-to-end experiment pipeline, and writes the numbers to a JSON file
 trajectory of the simulator is tracked in-tree, PR over PR:
 
 * **functional** — simulated instructions per second of the functional
-  emulator, with and without trace collection;
+  emulator (``run_program``, the native functional engine wherever it
+  loads), with and without trace collection;
+* **functional_oracle** — the same, trace on, for the per-pc Python
+  engine alone (``FunctionalSimulator``, the native engine's oracle),
+  with ``engine_over_oracle``, the throughput ratio;
 * **timing** — simulated instructions per second of the out-of-order
   core replaying a trace on the Figure 2 machine, through ``simulate``
   (the native timing kernel wherever it loads), with the trace's
@@ -17,10 +21,6 @@ trajectory of the simulator is tracked in-tree, PR over PR:
 * **timing_oracle** — the same for the Python core alone
   (``OutOfOrderCore.run``, the kernel's oracle), with
   ``kernel_over_oracle``, the throughput ratio;
-* **superblocks** — the compiled shape of the hot workload (blocks,
-  mean block length) and fused-dispatch vs per-pc-dispatch throughput,
-  the per-pc number taken with ``repro.sim.functional.compile_program``
-  patched to return no blocks;
 * **run-all** — wall-clock seconds of ``python -m repro run-all`` on a
   chosen profile, cold (fresh cache directory; everything simulated and
   stored) and warm (second invocation; everything replayed from the
@@ -40,9 +40,9 @@ before/after of the columnar-trace + specialized-dispatch rewrite, both
 sides measured on the same machine.
 
 The harness is intentionally import-light and API-stable (it only uses
-``run_program``, ``simulate``, and the CLI) so the identical file can be
-dropped onto older revisions of this repo to produce comparable
-baselines.
+``run_program``, ``FunctionalSimulator``, ``simulate``, and the CLI) so
+the identical file can be dropped onto older revisions of this repo to
+produce comparable baselines.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ sys.path.insert(0, str(SRC))
 
 from repro.dvi.config import DVIConfig  # noqa: E402
 from repro.sim.config import MachineConfig  # noqa: E402
-from repro.sim.functional import run_program  # noqa: E402
+from repro.sim.functional import FunctionalSimulator, run_program  # noqa: E402
 from repro.sim.ooo.core import OutOfOrderCore, simulate  # noqa: E402
 from repro.workloads.suite import get_program  # noqa: E402
 
@@ -75,12 +75,6 @@ try:  # the native kernel landed after the Python core; keep this
 except ImportError:  # pragma: no cover - baseline revisions only
     mispredict_column = None
 
-try:  # superblocks landed after the specialization rewrite; keep this
-    # harness droppable onto older trees (the dimension is just skipped).
-    from repro.sim import functional  # noqa: E402
-    from repro.sim.compile import CompiledProgram, compile_program  # noqa: E402
-except ImportError:  # pragma: no cover - baseline revisions only
-    compile_program = None
 
 #: Workload used for the hot-loop measurements (procedure-heavy, mixed
 #: ALU/memory/control — representative of the suite).
@@ -94,14 +88,16 @@ def _best(measure, repeats: int = REPEATS) -> float:
     return min(measure() for _ in range(repeats))
 
 
-def bench_functional(*, collect_trace: bool) -> dict:
+def bench_functional(*, collect_trace: bool, engine=run_program) -> dict:
+    """Functional inst/s of ``engine(program, dvi, collect_trace=...)``."""
     program = get_program(HOT_WORKLOAD, 1)
     insts = 0
+    engine(program, DVIConfig.none(), collect_trace=collect_trace)  # warm-up
 
     def measure() -> float:
         nonlocal insts
         started = time.perf_counter()
-        result = run_program(
+        result = engine(
             program, DVIConfig.none(), collect_trace=collect_trace
         )
         elapsed = time.perf_counter() - started
@@ -153,60 +149,6 @@ def bench_mispredict_column() -> float:
         return time.perf_counter() - started
 
     return round(_best(measure), 4)
-
-
-def bench_superblocks() -> dict:
-    """Fused-block dispatch vs pure per-pc dispatch, same workload.
-
-    Reports the static shape of the compiled program (blocks, mean
-    block length, fraction of static instructions inside fused runs)
-    and the dynamic throughput of both dispatch modes, trace on — the
-    configuration every experiment cell actually runs.
-    """
-    program = get_program(HOT_WORKLOAD, 1)
-    compiled = compile_program(program)
-
-    def measure():
-        insts = 0
-
-        def once() -> float:
-            nonlocal insts
-            started = time.perf_counter()
-            result = run_program(program, DVIConfig.none(), collect_trace=True)
-            elapsed = time.perf_counter() - started
-            insts = result.stats.program_insts
-            return elapsed
-
-        elapsed = _best(once)
-        return insts, elapsed
-
-    def no_blocks(program):
-        return CompiledProgram(program.name, len(program.insts), [], [], [])
-
-    insts, fused = measure()
-    functional.compile_program = no_blocks
-    try:
-        _, per_pc = measure()
-    finally:
-        functional.compile_program = compile_program
-    return {
-        "blocks_compiled": compiled.n_blocks,
-        "mean_block_len": round(compiled.mean_block_len, 2),
-        # Distinct static pcs reachable through fused dispatch (a control
-        # transfer appears both as a block tail and as its own entry
-        # block, so summed block lengths would overcount).
-        "fused_static_coverage": round(
-            len({
-                pc
-                for start, length in compiled.blocks
-                for pc in range(start, start + length)
-            }) / max(1, compiled.n), 3
-        ),
-        "instructions": insts,
-        "fused_insts_per_sec": round(insts / fused),
-        "per_pc_insts_per_sec": round(insts / per_pc),
-        "fused_over_per_pc": round(per_pc / fused, 2),
-    }
 
 
 def bench_run_all(profile: str) -> dict:
@@ -292,6 +234,15 @@ def main(argv=None) -> int:
     metrics["functional_trace"] = bench_functional(collect_trace=True)
     print("benchmarking functional emulator (trace off)...", flush=True)
     metrics["functional_no_trace"] = bench_functional(collect_trace=False)
+    print("benchmarking its Python oracle...", flush=True)
+    metrics["functional_oracle"] = bench_functional(
+        collect_trace=True,
+        engine=lambda *args, **kwargs: FunctionalSimulator(*args, **kwargs).run(),
+    )
+    metrics["functional_oracle"]["engine_over_oracle"] = round(
+        metrics["functional_trace"]["insts_per_sec"]
+        / metrics["functional_oracle"]["insts_per_sec"], 1
+    )
     print("benchmarking out-of-order timing core...", flush=True)
     metrics["timing"] = bench_timing(simulate)
     print("benchmarking its Python oracle...", flush=True)
@@ -306,10 +257,6 @@ def main(argv=None) -> int:
         metrics["timing"]["mispredict_column_seconds"] = (
             bench_mispredict_column()
         )
-    if compile_program is not None:
-        print("benchmarking superblock dispatch (fused vs per-pc)...",
-              flush=True)
-        metrics["superblocks"] = bench_superblocks()
     if not args.skip_run_all:
         print(f"benchmarking run-all ({args.profile}, cold+warm)...", flush=True)
         metrics["run_all"] = bench_run_all(args.profile)

@@ -1,27 +1,25 @@
 #!/usr/bin/env python
-"""CI perf-smoke gate: the fast paths must engage and change no output.
+"""CI perf-smoke gate: the native engines must load and change no output.
 
 Three checks, quick enough for every CI run:
 
 1. **Bench harness runs** — ``bench_simcore.py --skip-run-all`` on a
-   scratch output, which measures the hot loops, the native timing
-   kernel against its Python oracle, *and* the superblocks dimension
-   (fused vs per-pc dispatch on the same workload).  The numbers are
-   informational — CI boxes are too noisy to gate on — but the sections
-   must exist and report compiled blocks, or superblock compilation
-   silently stopped engaging.
+   scratch output, which measures the hot loops: the native functional
+   engine against its Python oracle (``functional_oracle``) and the
+   native timing kernel against its (``timing_oracle``).  The numbers
+   are informational — CI boxes are too noisy to gate on — but both
+   sections must exist.
 
 Both identity checks compare against one tiny-profile ``run-all`` made
-in this process as the code ships (fused dispatch, native timing
-kernel); every run gets a fresh cache dir, and JSON manifests are
-compared byte for byte.
+in this process as the code ships (native functional engine, native
+timing kernel); every run gets a fresh cache dir, and JSON manifests
+are compared byte for byte.
 
-2. **Fused ≡ per-pc** — the same ``run-all`` with
-   ``repro.sim.functional.compile_program`` patched to return no blocks,
-   so every instruction steps through its per-pc closure.  The patch
-   must have been called, so the check proves the per-pc arm ran.
-   Fused dispatch is an optimization, not a semantic: any divergence
-   fails the build.
+2. **Native functional ≡ Python engine** — the same ``run-all`` with
+   ``repro.sim.functional.simulator`` (and the scheduler's reference to
+   it) patched to return the per-pc Python engine.  The patch must have
+   been called, so the check proves the Python arm ran, and the native
+   engine must have loaded, so it proves the shipped arm ran on it.
 
 3. **Native kernel ≡ oracle** — the same ``run-all`` with
    ``repro.experiments.runner.simulate`` swapped for the Python core
@@ -65,18 +63,13 @@ def check_bench_harness(tmp: Path) -> None:
         env=_env(), check=True, cwd=REPO_ROOT,
         stdout=subprocess.DEVNULL,
     )
-    report = json.loads(report_path.read_text(encoding="utf-8"))
-    section = report["metrics"].get("superblocks")
-    if not section:
-        raise SystemExit("FAIL: bench report has no `superblocks` section "
-                         "- fused dispatch is not engaging")
-    if section["blocks_compiled"] <= 0:
-        raise SystemExit("FAIL: superblock compiler produced zero blocks")
-    print(f"bench ok: {section['blocks_compiled']} blocks, "
-          f"mean len {section['mean_block_len']}, "
-          f"fused/per-pc = {section['fused_over_per_pc']}x, "
-          f"kernel/oracle = "
-          f"{report['metrics']['timing_oracle']['kernel_over_oracle']}x")
+    metrics = json.loads(report_path.read_text(encoding="utf-8"))["metrics"]
+    for section in ("functional_oracle", "timing_oracle"):
+        if section not in metrics:
+            raise SystemExit(f"FAIL: bench report has no `{section}` section")
+    print(f"bench ok: functional engine/oracle = "
+          f"{metrics['functional_oracle']['engine_over_oracle']}x, "
+          f"kernel/oracle = {metrics['timing_oracle']['kernel_over_oracle']}x")
 
 
 def run_all(tmp: Path, label: str) -> bytes:
@@ -96,33 +89,37 @@ def run_all(tmp: Path, label: str) -> bytes:
     return out_json.read_bytes()
 
 
-def check_fused_matches_per_pc(tmp: Path, shipped: bytes) -> None:
-    from repro.sim import functional
-    from repro.sim.compile import CompiledProgram
+def check_engine_matches_python(tmp: Path, shipped: bytes) -> None:
+    from repro.sim import functional, functional_native
+    from repro.threads import scheduler
 
-    compile_program = functional.compile_program
+    if functional_native.ENGINE.load() is None:
+        raise SystemExit("FAIL: the native functional engine did not load: "
+                         f"{functional_native.ENGINE.reason}")
     calls = 0
 
-    def no_blocks(program):
+    def python_engine(*args, **kwargs):
         nonlocal calls
         calls += 1
-        return CompiledProgram(program.name, len(program.insts), [], [], [])
+        return functional.FunctionalSimulator(*args, **kwargs)
 
-    functional.compile_program = no_blocks
+    shipped_engine = functional.simulator
+    functional.simulator = scheduler.simulator = python_engine
     try:
-        per_pc = run_all(tmp, "per_pc")
+        python = run_all(tmp, "python")
     finally:
-        functional.compile_program = compile_program
+        functional.simulator = scheduler.simulator = shipped_engine
     if not calls:
-        raise SystemExit("FAIL: the per-pc arm never asked for blocks - "
+        raise SystemExit("FAIL: the Python arm never built a simulator - "
                          "it did not run the engine it claims to check")
-    if shipped != per_pc:
+    if shipped != python:
         raise SystemExit(
-            "FAIL: run-all manifest with fused dispatch differs from "
-            "per-pc dispatch - fused codegen has diverged semantically"
+            "FAIL: run-all manifest on the native functional engine differs "
+            "from the Python engine's - the engine has diverged from its oracle"
         )
-    print(f"fused byte-identity ok: {len(shipped)} manifest bytes identical "
-          f"with fused and per-pc dispatch ({calls} simulators ran per-pc)")
+    print(f"functional byte-identity ok: {len(shipped)} manifest bytes "
+          f"identical on the native engine and on the Python engine "
+          f"({calls} simulators ran on Python)")
 
 
 def check_kernel_matches_oracle(tmp: Path, shipped: bytes) -> None:
@@ -155,7 +152,7 @@ def main() -> int:
         check_bench_harness(tmp_path)
         sys.path.insert(0, SRC)
         shipped = run_all(tmp_path, "shipped")
-        check_fused_matches_per_pc(tmp_path, shipped)
+        check_engine_matches_python(tmp_path, shipped)
         check_kernel_matches_oracle(tmp_path, shipped)
     print("bench-perf-smoke: PASS")
     return 0

@@ -57,12 +57,11 @@ DESIGN_REQUIRED = (
     # The C timing kernel and the column that keeps prediction in Python.
     "native timing kernel",
     "mispredict column",
-    # Superinstruction compilation + the one persistent worker pool.
-    "superinstruction",
-    "fused",
+    # The C functional engine + the one persistent worker pool.
+    "native functional engine",
+    "resumable",
     "per-pc",
     "no switch",
-    "SUPERBLOCK_VERSION",
     "warm worker pool",
     "rebuild",
     "contained executor",

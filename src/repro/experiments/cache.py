@@ -112,16 +112,10 @@ def code_version() -> str:
     """Digest of every ``.py`` and ``.c`` source file under ``src/repro``.
 
     Baked into every cache key so that editing *any* simulator, workload,
-    or experiment source — the native timing kernel included —
+    or experiment source — both native engines included —
     invalidates previously stored artifacts: the coarse-but-safe
-    invalidation rule DESIGN.md motivates.  The
-    superblock codegen version is folded in explicitly: the generated
-    superinstruction bodies are not source files on disk, so a codegen
-    change must bump :data:`repro.sim.compile.SUPERBLOCK_VERSION` to be
-    sure stale artifacts can never be served.
+    invalidation rule DESIGN.md motivates.
     """
-    from repro.sim.compile import SUPERBLOCK_VERSION
-
     package_root = Path(__file__).resolve().parents[1]
     digest = hashlib.sha256()
     sources = [*package_root.rglob("*.py"), *package_root.rglob("*.c")]
@@ -130,7 +124,6 @@ def code_version() -> str:
         digest.update(b"\0")
         digest.update(path.read_bytes())
         digest.update(b"\0")
-    digest.update(f"superblocks:{SUPERBLOCK_VERSION}".encode("utf-8"))
     return digest.hexdigest()[:16]
 
 

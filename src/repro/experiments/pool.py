@@ -185,19 +185,20 @@ def _warm_worker_init(
     the parent's cache configuration (local root plus any shared tier),
     so worker-computed artifacts land where the parent's own stores
     would.  The imports pull in the workload suite, the experiment
-    registry, both simulation engines and the native timing kernel, so
-    the first submitted cell starts computing immediately instead of
-    paying the import graph or the kernel's load.
+    registry and both native engines, built or loaded, so the first
+    submitted cell starts computing immediately instead of paying the
+    import graph or an engine's load.
     """
     global _WARM_CACHE_FACTORY
     _WARM_CACHE_FACTORY = cache_factory
     import repro.experiments  # noqa: F401  (experiment directory)
     import repro.experiments.sweep  # noqa: F401  (sweep assembly)
-    import repro.sim.compile  # noqa: F401  (superblock compiler)
     import repro.workloads.suite  # noqa: F401  (workload programs)
+    from repro.sim import functional_native
     from repro.sim.ooo import native
 
-    native.KERNEL.load()  # the timing kernel, built or loaded once
+    functional_native.ENGINE.load()  # the functional engine
+    native.KERNEL.load()  # the timing kernel
 
 
 def _warm_probe() -> int:

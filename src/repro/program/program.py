@@ -77,11 +77,12 @@ class Program:
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> Dict[str, object]:
-        # The superblock compiler caches its (exec-generated, hence
-        # unpicklable) output on the instance; artifacts and worker IPC
-        # must ship the program without it.  Receivers recompile lazily.
+        # The simulators cache their per-program tables and the native
+        # encoding on the instance (repro.sim.functional.program_tables);
+        # artifacts and worker IPC ship the program without them, and
+        # receivers rebuild them lazily.
         state = self.__dict__.copy()
-        state.pop("_superblocks", None)
+        state.pop("_tables", None)
         return state
 
     def __len__(self) -> int:

@@ -81,8 +81,8 @@ def check_equivalence(
         for program in (program_a, program_b)
         for addr, _ in program.relocations
     }
-    words_a = _data_words(result_a, data_limit)
-    words_b = _data_words(result_b, data_limit)
+    words_a = result_a.data_segment(DATA_BASE, data_limit)
+    words_b = result_b.data_segment(DATA_BASE, data_limit)
     mismatched = sorted(
         addr
         for addr in (set(words_a) | set(words_b)) - relocated
@@ -99,11 +99,3 @@ def check_equivalence(
         exit_values=exit_values,
         mismatched_words=mismatched,
     )
-
-
-def _data_words(result: FunctionalResult, limit: int) -> dict:
-    return {
-        addr: value
-        for addr, value in result.memory.items()
-        if DATA_BASE <= addr * 4 < limit
-    }

@@ -22,12 +22,23 @@ differently from the baseline — the observational-equivalence tests
 (identical data segment and exit value) are therefore a real check of the
 paper's correctness argument, not a tautology.
 
-Execution engine
-----------------
+Execution engines
+-----------------
 
-The hot path uses **decode-time specialization** (threaded-code style):
-:meth:`FunctionalSimulator._specialize` builds, once per program, a table
-of per-instruction closures with every static operand — immediates,
+Every run goes through :func:`simulator`, which picks one of two
+engines, with no switch:
+
+* the **native functional engine** (:mod:`repro.sim.functional_native`,
+  ``functional.c``), a C port of this module's per-pc loop, whenever it
+  loaded, the program encodes exactly and ``verify_dvi`` is off;
+* :class:`FunctionalSimulator`, the per-pc Python engine, otherwise.  It
+  is the fallback (no compiler, a failed build, a program with a field
+  the encoding cannot hold) and the native engine's byte-level oracle:
+  the differential tests hold the two to identical result pickles.
+
+The per-pc engine uses **decode-time specialization** (threaded-code
+style): :meth:`FunctionalSimulator._specialize` builds a table of
+per-instruction closures with every static operand — immediates,
 register indices, shift amounts, branch targets, even the pre-masked
 ``lui`` value and the pre-built fall-through result tuple — bound at
 decode time.  The inner loop then does no opcode dispatch at all: it
@@ -36,22 +47,14 @@ dynamic facts to the columnar trace, and folds the destination's
 liveness bit into the LVM.  Dynamic statistics are reconstructed from
 the per-pc counters (every category of interest — loads, calls,
 branches, saves — is a static property of the instruction), so the loop
-maintains no per-category counters.
+maintains no per-category counters.  Both engines share that
+reconstruction and the static side-tables, which :func:`program_tables`
+builds once per program.
 
 Each handler returns ``(next_pc, addr, flags, free_mask)`` with
 ``flags`` using the :mod:`repro.sim.trace` bit encoding; non-memory,
 non-control handlers return one pre-built constant tuple, branch
 handlers pick between two.
-
-On top of the per-pc closures, :mod:`repro.sim.compile` fuses each
-basic block into one exec-compiled "superinstruction" function.  There
-is one dispatch loop and no switch: at each pc it runs the compiled
-block that starts there if the block fits in the remaining step budget,
-and the per-pc closure otherwise (``halt``, block-interior entry pcs
-after computed jumps, budget slivers).  Superblocks preserve the trace
-columns, counters, and architectural effects bit-for-bit.  A run that
-collects the live-register histogram installs no blocks, because the
-histogram samples the LVM after every instruction, so it steps per pc.
 
 One slow-path feature delegates to the retained reference interpreter
 (:mod:`repro.sim.reference`): ``verify_dvi``, whose per-step poison
@@ -65,14 +68,13 @@ from array import array
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
-from repro.dvi.config import DVIConfig, SRScheme
+from repro.dvi.config import DVIConfig
 from repro.dvi.engine import DVIEngine
 from repro.errors import SimulationError
 from repro.isa import registers as regs
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OP_CLASS_CODE, Opcode
 from repro.program.program import STACK_TOP, Program
-from repro.sim.compile import compile_program
 from repro.sim.reference import decode_reference, execute_reference
 from repro.sim.trace import (
     FLAG_ELIMINATED,
@@ -169,11 +171,16 @@ class FunctionalResult:
     memory: Dict[int, int]
 
     def data_segment(self, base: int, limit: int) -> Dict[int, int]:
-        """Memory words in ``[base, limit)`` — the observable output."""
+        """The memory words whose byte addresses lie in ``[base, limit)``.
+
+        ``base`` and ``limit`` are byte addresses; the result is keyed,
+        like :attr:`memory`, by word index (byte address ``>> 2``).  The
+        data segment is the observable output of a run.
+        """
         return {
-            addr: value
-            for addr, value in self.memory.items()
-            if base <= addr < limit
+            word: value
+            for word, value in self.memory.items()
+            if base <= word * 4 < limit
         }
 
 
@@ -595,8 +602,134 @@ def _build_handler(
     raise SimulationError(f"unimplemented opcode {op.name}")  # pragma: no cover
 
 
+class ProgramTables:
+    """The per-program facts both engines read, built once per program.
+
+    The static trace side-tables (every trace gets its own copies), the
+    LVM bit each pc defines, and the per-category pc lists the dynamic
+    statistics are rebuilt from.  The native engine adds its encoding
+    (:mod:`repro.sim.functional_native`) under :attr:`code`.
+    """
+
+    __slots__ = (
+        "insts", "s_op", "s_cls", "s_dst", "s_srcs", "dbits",
+        "kill_pcs", "call_pcs", "return_pcs", "branch_pcs", "load_pcs",
+        "store_pcs", "save_pcs", "restore_pcs", "code",
+    )
+
+    def __init__(self, insts: List[Instruction]) -> None:
+        n = len(insts)
+        #: The instruction list these tables describe.
+        self.insts = insts
+        self.s_op = array("b", bytes(n))
+        self.s_cls = array("b", bytes(n))
+        self.s_dst = array("b", bytes(n))
+        self.s_srcs = array("h", [0] * n)
+        #: Per-pc LVM bit of the destination register (0 if none / r0).
+        self.dbits: List[int] = []
+        self.kill_pcs: List[int] = []
+        self.call_pcs: List[int] = []
+        self.return_pcs: List[int] = []
+        self.branch_pcs: List[int] = []
+        self.load_pcs: List[int] = []
+        self.store_pcs: List[int] = []
+        self.save_pcs: List[int] = []
+        self.restore_pcs: List[int] = []
+        #: The native engine's code vector, set by its encoder (None
+        #: until then, and for a program that does not encode).
+        self.code: Optional[array] = None
+        for pc, inst in enumerate(insts):
+            op = inst.op
+            defs = inst.defs()
+            dst = defs[0] if defs else -1
+            self.s_op[pc] = op
+            self.s_cls[pc] = OP_CLASS_CODE[op]
+            self.s_dst[pc] = dst
+            self.s_srcs[pc] = pack_srcs(inst.uses())
+            self.dbits.append((1 << dst) if dst > 0 else 0)
+            if op == Opcode.KILL:
+                self.kill_pcs.append(pc)
+            elif op == Opcode.JAL or op == Opcode.JALR:
+                self.call_pcs.append(pc)
+            elif op == Opcode.JR and inst.rs1 == regs.RA:
+                self.return_pcs.append(pc)
+            elif inst.is_branch:
+                self.branch_pcs.append(pc)
+            if inst.is_load:
+                self.load_pcs.append(pc)
+            elif inst.is_store:
+                self.store_pcs.append(pc)
+            if op == Opcode.LIVE_SW:
+                self.save_pcs.append(pc)
+            elif op == Opcode.LIVE_LW:
+                self.restore_pcs.append(pc)
+
+    def sync_stats(
+        self, stats: FunctionalStats, counts, seq: int,
+        saves_eliminated: int, restores_eliminated: int,
+    ) -> None:
+        """Reconstruct the dynamic statistics from per-pc counters."""
+        def total(pcs: List[int]) -> int:
+            return sum(map(counts.__getitem__, pcs))
+
+        kills = total(self.kill_pcs)
+        stats.kill_insts = kills
+        stats.program_insts = seq - kills
+        stats.calls = total(self.call_pcs)
+        stats.returns = total(self.return_pcs)
+        stats.branches = total(self.branch_pcs)
+        stats.loads = total(self.load_pcs)
+        stats.stores = total(self.store_pcs)
+        stats.saves = total(self.save_pcs)
+        stats.restores = total(self.restore_pcs)
+        stats.saves_eliminated = saves_eliminated
+        stats.restores_eliminated = restores_eliminated
+
+    def trace(self, sim, pcs: array, addrs: array, free_masks: array,
+              flags: array) -> Trace:
+        """``sim``'s trace from its dynamic columns.
+
+        The pc stays on a halt that ends a run, and nothing follows it;
+        any other run ends at the pc it would resume from (the sentinel
+        after a top-level return).
+        """
+        at_halt = sim.halted and sim.pc != len(self.insts)
+        return Trace.from_columns(
+            sim.program.name,
+            sim.dvi_config,
+            sim.halted,
+            -1 if at_halt else sim.pc,
+            pcs=pcs,
+            addrs=addrs,
+            free_masks=free_masks,
+            flags=flags,
+            s_op=self.s_op[:],
+            s_cls=self.s_cls[:],
+            s_dst=self.s_dst[:],
+            s_srcs=self.s_srcs[:],
+        )
+
+
+def program_tables(program: Program) -> ProgramTables:
+    """``program``'s :class:`ProgramTables`, cached on the instance.
+
+    Workloads are built once and simulated many times, so the tables
+    (and the native encoding) are computed once per program object;
+    ``Program.__getstate__`` leaves them out of pickles.  A re-linked
+    program has a new instruction list and gets new tables.
+    """
+    tables = program.__dict__.get("_tables")
+    if tables is None or tables.insts is not program.insts:
+        tables = program.__dict__["_tables"] = ProgramTables(program.insts)
+    return tables
+
+
 class FunctionalSimulator:
-    """Architectural emulator for one program under one DVI configuration."""
+    """Architectural emulator for one program under one DVI configuration.
+
+    The per-pc Python engine: the fallback of :func:`simulator` and the
+    native engine's oracle.
+    """
 
     def __init__(
         self,
@@ -639,7 +772,6 @@ class FunctionalSimulator:
             self._decoded = decode_reference(program.insts)
         else:
             self._specialize()
-            self._install_superblocks()
 
     def _use_reference(self) -> bool:
         """Whether to run the retained reference interpreter instead of
@@ -651,72 +783,18 @@ class FunctionalSimulator:
     # ------------------------------------------------------------------
 
     def _specialize(self) -> None:
-        insts = self.program.insts
         R = self.regs
         mem = self.mem
         engine = self.engine
-        n = self._sentinel
 
         self._handlers: List[_Handler] = [
             _build_handler(inst, pc, R, mem, engine)
-            for pc, inst in enumerate(insts)
+            for pc, inst in enumerate(self.program.insts)
         ]
+        self._tables = program_tables(self.program)
         #: Dynamic execution count per static instruction; every per-category
         #: statistic is reconstructed from these (see :meth:`_sync_stats`).
-        self._counts: List[int] = [0] * n
-        #: Per-pc LVM bit of the destination register (0 if none / r0).
-        self._dbits: List[int] = []
-
-        # Static per-pc trace side-tables (shared with produced Traces).
-        s_op = array("b", bytes(n))
-        s_cls = array("b", bytes(n))
-        s_dst = array("b", bytes(n))
-        s_srcs = array("h", [0] * n)
-        kill_pcs: List[int] = []
-        call_pcs: List[int] = []
-        return_pcs: List[int] = []
-        branch_pcs: List[int] = []
-        load_pcs: List[int] = []
-        store_pcs: List[int] = []
-        save_pcs: List[int] = []
-        restore_pcs: List[int] = []
-        for pc, inst in enumerate(insts):
-            op = inst.op
-            defs = inst.defs()
-            dst = defs[0] if defs else -1
-            s_op[pc] = op
-            s_cls[pc] = OP_CLASS_CODE[op]
-            s_dst[pc] = dst
-            s_srcs[pc] = pack_srcs(inst.uses())
-            self._dbits.append((1 << dst) if dst > 0 else 0)
-            if op == Opcode.KILL:
-                kill_pcs.append(pc)
-            elif op == Opcode.JAL or op == Opcode.JALR:
-                call_pcs.append(pc)
-            elif op == Opcode.JR and inst.rs1 == regs.RA:
-                return_pcs.append(pc)
-            elif inst.is_branch:
-                branch_pcs.append(pc)
-            if inst.is_load:
-                load_pcs.append(pc)
-            elif inst.is_store:
-                store_pcs.append(pc)
-            if op == Opcode.LIVE_SW:
-                save_pcs.append(pc)
-            elif op == Opcode.LIVE_LW:
-                restore_pcs.append(pc)
-        self._s_op = s_op
-        self._s_cls = s_cls
-        self._s_dst = s_dst
-        self._s_srcs = s_srcs
-        self._kill_pcs = kill_pcs
-        self._call_pcs = call_pcs
-        self._return_pcs = return_pcs
-        self._branch_pcs = branch_pcs
-        self._load_pcs = load_pcs
-        self._store_pcs = store_pcs
-        self._save_pcs = save_pcs
-        self._restore_pcs = restore_pcs
+        self._counts: List[int] = [0] * self._sentinel
 
         # Dynamic trace columns: plain lists while executing (list.append
         # beats array.append), converted to arrays by :meth:`result`.
@@ -724,42 +802,6 @@ class FunctionalSimulator:
         self._c_addrs: List[int] = []
         self._c_free: List[int] = []
         self._c_flags: List[int] = []
-
-    def _install_superblocks(self) -> None:
-        """Bind this simulator's state into the program's compiled blocks.
-
-        ``self._blk_fns`` maps each pc to ``(fn, length, block id)`` for
-        the block starting there, or ``None``.  It is all ``None`` when
-        the live-register histogram needs per-instruction LVM samples or
-        the program has no fusable straight-line runs.
-        """
-        self._blk_fns: List[Optional[tuple]] = [None] * self._sentinel
-        self._bcounts: List[int] = []
-        self._compiled = None
-        if self.collect_live_hist:
-            return
-        compiled = compile_program(self.program)
-        if not compiled.blocks:
-            return
-        cols = None
-        if self.collect_trace:
-            cols = (self._c_pcs.extend, self._c_addrs.extend,
-                    self._c_free.extend, self._c_flags.extend)
-        # With every DVI mechanism off the engine hooks are constant
-        # (nothing eliminates, nothing frees): compile the specialized
-        # variant that drops the hook calls and batch-updates the
-        # engine's "seen" counters per block.
-        cfg = self.dvi_config
-        nodvi = cfg.scheme is SRScheme.NONE and not cfg.any_dvi
-        make = compiled.factory(self.collect_trace, nodvi)
-        blk_fns = make(self.regs, self.mem, self.engine, cols)
-        self._blk_fns = [
-            None if fn is None else (fn, compiled.len_by_pc[pc],
-                                     compiled.bid_by_pc[pc])
-            for pc, fn in enumerate(blk_fns)
-        ]
-        self._bcounts = [0] * compiled.n_blocks
-        self._compiled = compiled
 
     # ------------------------------------------------------------------
 
@@ -770,11 +812,6 @@ class FunctionalSimulator:
         it has halted (or returned from the top level).  This is the
         resumable core that the thread scheduler time-slices; :meth:`run`
         drives it once to completion.
-
-        Whenever the current pc starts a compiled block that fits in the
-        remaining budget, the fused function executes the whole block
-        (registers, memory, engine hooks, trace columns); every other pc
-        takes one step through its per-pc closure.
         """
         if self._reference_mode:
             return execute_reference(self, budget)
@@ -783,15 +820,13 @@ class FunctionalSimulator:
 
         handlers = self._handlers
         counts = self._counts
-        dbits = self._dbits
+        dbits = self._tables.dbits
         sentinel = self._sentinel
         collect = self.collect_trace
         collect_hist = self.collect_live_hist
         lvm = self.engine.lvm
         saveable = self._saveable
         hist = self.stats.live_hist
-        blk_fns = self._blk_fns
-        bcounts = self._bcounts
         if collect:
             ap_pc = self._c_pcs.append
             ap_addr = self._c_addrs.append
@@ -809,15 +844,6 @@ class FunctionalSimulator:
                     completed = True
                     break
                 raise SimulationError(f"pc out of range: {pc}")
-            blk = blk_fns[pc]
-            if blk is not None:
-                fn, length, bid = blk
-                new_seq = seq + length
-                if new_seq <= end_seq:
-                    bcounts[bid] += 1
-                    seq = new_seq
-                    pc = fn()
-                    continue
             next_pc, addr, fl, free_mask = handlers[pc]()
             counts[pc] += 1
             if collect:
@@ -847,38 +873,24 @@ class FunctionalSimulator:
         self._sync_stats()
         return not self.halted
 
-    def _effective_counts(self) -> List[int]:
-        """Per-pc execution counts with block-level counts folded in."""
-        counts = self._counts
-        if not self._bcounts:
-            return counts
-        eff = list(counts)
-        for (start, length), count in zip(self._compiled.blocks,
-                                          self._bcounts):
-            if count:
-                for p in range(start, start + length):
-                    eff[p] += count
-        return eff
-
     def _sync_stats(self) -> None:
         """Reconstruct the dynamic statistics from the per-pc counters."""
-        counts = self._effective_counts()
-        stats = self.stats
-        kills = sum(counts[pc] for pc in self._kill_pcs)
-        stats.kill_insts = kills
-        stats.program_insts = self._seq - kills
-        stats.calls = sum(counts[pc] for pc in self._call_pcs)
-        stats.returns = sum(counts[pc] for pc in self._return_pcs)
-        stats.branches = sum(counts[pc] for pc in self._branch_pcs)
-        stats.loads = sum(counts[pc] for pc in self._load_pcs)
-        stats.stores = sum(counts[pc] for pc in self._store_pcs)
-        stats.saves = sum(counts[pc] for pc in self._save_pcs)
-        stats.restores = sum(counts[pc] for pc in self._restore_pcs)
-        stats.saves_eliminated = self.engine.counters.saves_eliminated
-        stats.restores_eliminated = self.engine.counters.restores_eliminated
+        counters = self.engine.counters
+        self._tables.sync_stats(
+            self.stats, self._counts, self._seq,
+            counters.saves_eliminated, counters.restores_eliminated,
+        )
         if self.halted:
-            stats.completed = True
-            stats.exit_value = self.regs[regs.V0]
+            self.stats.completed = True
+            self.stats.exit_value = self.regs[regs.V0]
+
+    def save_lvm(self) -> int:
+        """``lvm_save``: the LVM a context switch stores."""
+        return self.engine.save_lvm()
+
+    def load_lvm(self, mask: int) -> None:
+        """``lvm_load``: reload a context's LVM before its restores."""
+        self.engine.load_lvm(mask)
 
     def run(self) -> FunctionalResult:
         """Execute until halt / top-level return / step budget."""
@@ -897,23 +909,12 @@ class FunctionalSimulator:
                     completed=self.halted,
                 )
             else:
-                # The pc stays on a halt that ends a run, and nothing
-                # follows it; any other run ends at the pc it would
-                # resume from (the sentinel after a top-level return).
-                at_halt = self.halted and self.pc != self._sentinel
-                trace = Trace.from_columns(
-                    self.program.name,
-                    self.dvi_config,
-                    self.halted,
-                    -1 if at_halt else self.pc,
-                    pcs=array("i", self._c_pcs),
-                    addrs=array("q", self._c_addrs),
-                    free_masks=array("q", self._c_free),
-                    flags=array("B", self._c_flags),
-                    s_op=self._s_op,
-                    s_cls=self._s_cls,
-                    s_dst=self._s_dst,
-                    s_srcs=self._s_srcs,
+                trace = self._tables.trace(
+                    self,
+                    array("i", self._c_pcs),
+                    array("q", self._c_addrs),
+                    array("q", self._c_free),
+                    array("B", self._c_flags),
                 )
         return FunctionalResult(
             stats=self.stats,
@@ -934,6 +935,30 @@ class ReferenceSimulator(FunctionalSimulator):
         return True
 
 
+def simulator(
+    program: Program,
+    dvi: Optional[DVIConfig] = None,
+    **options,
+):
+    """The simulator for one run of ``program``, with no switch.
+
+    The native engine (:mod:`repro.sim.functional_native`) when it
+    loaded, the program encodes and ``verify_dvi`` is off; otherwise a
+    :class:`FunctionalSimulator`.  ``options`` are the
+    :class:`FunctionalSimulator` keywords; both engines take them and
+    expose ``execute``/``run``/``result``, ``regs``, ``stats``,
+    ``save_lvm``/``load_lvm`` and ``halted``.
+    """
+    program.require_linked()
+    if not options.get("verify_dvi"):
+        from repro.sim import functional_native
+
+        native = functional_native.native_simulator(program, dvi, **options)
+        if native is not None:
+            return native
+    return FunctionalSimulator(program, dvi, **options)
+
+
 def run_program(
     program: Program,
     dvi: Optional[DVIConfig] = None,
@@ -944,7 +969,7 @@ def run_program(
     verify_dvi: bool = False,
 ) -> FunctionalResult:
     """Convenience wrapper: build a simulator and run it once."""
-    sim = FunctionalSimulator(
+    sim = simulator(
         program,
         dvi,
         max_steps=max_steps,

@@ -26,7 +26,7 @@
  *
  * The kernel keeps no global state (ctypes drops the GIL around the
  * call, so two threads may run it at once), and it checks every index
- * it will use before the loop starts: a bad trace row returns BAD_TRACE
+ * it will use before the loop starts: a bad trace row returns ST_BAD_TRACE
  * with the row number in results[0], never an out-of-bounds access.
  */
 
@@ -50,7 +50,7 @@ enum {
 #define NEVER ((int64_t)1 << 60)
 #define NUM_REGS 32
 
-/* The parameter vector; native.py builds it in this order. */
+/* The parameter vector; native.py's PARAMS declares it. */
 enum {
     P_FETCH_WIDTH, P_DECODE_WIDTH, P_ISSUE_WIDTH, P_COMMIT_WIDTH,
     P_WINDOW_SIZE, P_FETCH_QUEUE, P_INT_ALUS, P_INT_MULDIV,
@@ -58,21 +58,25 @@ enum {
     P_L1_LATENCY, P_L2_LATENCY, P_MEMORY_LATENCY, P_LINE_SHIFT,
     P_L1I_SETS, P_L1I_ASSOC, P_L1D_SETS, P_L1D_ASSOC,
     P_L2_SETS, P_L2_ASSOC,
-    P_LATENCY,  /* N_CLASSES per-class latencies follow */
-    N_PARAMS = P_LATENCY + N_CLASSES
+    /* One latency per op class, in CLS_* order. */
+    P_LATENCY_IALU, P_LATENCY_IMUL, P_LATENCY_IDIV, P_LATENCY_LOAD,
+    P_LATENCY_STORE, P_LATENCY_BRANCH, P_LATENCY_JUMP, P_LATENCY_NOP,
+    P_LATENCY_SYSCALL,
+    N_PARAMS
 };
 
-/* The result vector; native.py reads it in this order. */
+/* The result vector; native.py's RESULTS declares it. */
 enum {
     R_CYCLES, R_PROGRAM_INSTS, R_COMMITTED, R_DISPATCHED, R_ELIMINATED,
-    R_RENAME_STALLS, R_WINDOW_STALLS, R_CONTROL_INSTS, R_MISPREDICTS,
-    R_DCACHE_ACCESSES, R_DCACHE_MISSES, R_ICACHE_ACCESSES,
-    R_ICACHE_MISSES, R_UNMAPPED_READS, R_DVI_UNMAPS, R_MIN_FREE,
+    R_RENAME_STALL_CYCLES, R_WINDOW_FULL_STALL_CYCLES, R_CONTROL_INSTS,
+    R_MISPREDICTS, R_DCACHE_ACCESSES, R_DCACHE_MISSES, R_ICACHE_ACCESSES,
+    R_ICACHE_MISSES, R_UNMAPPED_READS, R_DVI_UNMAPS, R_MIN_FREE_PHYS,
     R_L1D_WRITEBACKS, R_L2_ACCESSES, R_L2_MISSES, R_L2_WRITEBACKS,
     N_RESULTS
 };
 
-enum { OK = 0, BAD_TRACE = 1, NO_MEMORY = 2, BAD_PARAMS = 3 };
+/* The return codes; native.py's STATUSES declares them. */
+enum { ST_OK, ST_BAD_TRACE, ST_NO_MEMORY, ST_BAD_PARAMS, N_STATUSES };
 
 typedef struct {
     int64_t *tags;   /* sets x assoc lines, each set oldest first */
@@ -248,7 +252,7 @@ int repro_ooo_run(
     entry_t *window = NULL;
     cache_t l1i = {0}, l1d = {0}, l2 = {0};
     int32_t arch_map[NUM_REGS];
-    int status = NO_MEMORY;
+    int status = ST_NO_MEMORY;
 
     int64_t dispatch_pos = 0, fetch_pos = 0, cycle = 0;
     int64_t fetch_blocked_until = 0, unresolved = -1, last_line = -1;
@@ -261,7 +265,7 @@ int repro_ooo_run(
     int64_t i, pc;
 
     if (n_params != N_PARAMS || n_results != N_RESULTS)
-        return BAD_PARAMS;
+        return ST_BAD_PARAMS;
     fetch_width = params[P_FETCH_WIDTH];
     decode_width = params[P_DECODE_WIDTH];
     issue_width = params[P_ISSUE_WIDTH];
@@ -277,7 +281,7 @@ int repro_ooo_run(
     l1_l2_latency = l1_latency + params[P_L2_LATENCY];
     l1_l2_mem_latency = l1_l2_latency + params[P_MEMORY_LATENCY];
     line_shift = (int)params[P_LINE_SHIFT];
-    latency_of = params + P_LATENCY;
+    latency_of = params + P_LATENCY_IALU;
     store_latency = latency_of[CLS_STORE];
     if (fetch_width < 1 || decode_width < 1 || issue_width < 1
             || commit_width < 1 || window_size < 1 || fetch_capacity < 1
@@ -288,13 +292,13 @@ int repro_ooo_run(
             || !power_of_two(params[P_L2_SETS])
             || params[P_L1I_ASSOC] < 1 || params[P_L1D_ASSOC] < 1
             || params[P_L2_ASSOC] < 1 || n_static < 0 || total < 0)
-        return BAD_PARAMS;
+        return ST_BAD_PARAMS;
 
     bad_row = first_bad_row(pcs, free_masks, flags, total,
                             s_cls, s_dst, s_srcs, n_static);
     if (bad_row >= 0) {
         results[0] = bad_row;
-        return BAD_TRACE;
+        return ST_BAD_TRACE;
     }
     for (row = 0; row < total; row++)
         program_insts += (flags[row] & F_PROGRAM) != 0;
@@ -630,8 +634,8 @@ int repro_ooo_run(
     results[R_COMMITTED] = committed;
     results[R_DISPATCHED] = dispatched;
     results[R_ELIMINATED] = eliminated;
-    results[R_RENAME_STALLS] = rename_stalls;
-    results[R_WINDOW_STALLS] = window_stalls;
+    results[R_RENAME_STALL_CYCLES] = rename_stalls;
+    results[R_WINDOW_FULL_STALL_CYCLES] = window_stalls;
     results[R_CONTROL_INSTS] = control_insts;
     results[R_MISPREDICTS] = mispredicts;
     results[R_DCACHE_ACCESSES] = l1d.accesses;
@@ -640,12 +644,12 @@ int repro_ooo_run(
     results[R_ICACHE_MISSES] = l1i.misses;
     results[R_UNMAPPED_READS] = unmapped_reads;
     results[R_DVI_UNMAPS] = dvi_unmaps;
-    results[R_MIN_FREE] = min_free;
+    results[R_MIN_FREE_PHYS] = min_free;
     results[R_L1D_WRITEBACKS] = l1d.writebacks;
     results[R_L2_ACCESSES] = l2.accesses;
     results[R_L2_MISSES] = l2.misses;
     results[R_L2_WRITEBACKS] = l2.writebacks;
-    status = OK;
+    status = ST_OK;
 
 done:
     free(ctrl_dist);

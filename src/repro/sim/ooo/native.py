@@ -16,42 +16,90 @@ trace and the predictor configuration: :func:`mispredict_column`
 computes it once per trace and predictor configuration, memoized on the
 trace, and every regfile, window, port and I-cache cell shares it.
 
-The kernel is compiled with the system ``cc`` into a per-user cache
-directory, named by a digest of the source, the compiler and the flags,
-and loaded from there by every later process.  ``ctypes`` and
-``subprocess`` are imported on the first simulation, so importing the
-CLI does not pay for them.
+The kernel is built and loaded by :class:`repro.sim.loader.KernelLoader`
+(shared with the functional engine): compiled with the system ``cc``
+into a per-user cache directory, once per source digest, and loaded
+from there by every later process.  ``ctypes`` and ``subprocess`` are
+imported on the first simulation, so importing the CLI does not pay for
+them.
+
+The parameter and result vectors are declared once, here
+(:data:`PARAMS`, :data:`RESULTS`, :data:`STATUSES`); ``kernel.c`` names
+each entry the same, upper-cased behind its prefix, and a test holds
+the two to the same names in the same order.
 """
 
 from __future__ import annotations
 
-import hashlib
-import os
-import tempfile
-import threading
 from array import array
 from dataclasses import fields
 from itertools import compress
 from pathlib import Path
-from typing import Callable, Optional
+from typing import Any, Optional
 
 from repro.errors import SimulationError
-from repro.isa.opcodes import NUM_OP_CLASSES, OpClass, Opcode
+from repro.isa.opcodes import OpClass, Opcode
 from repro.sim.branch.btb import BranchTargetBuffer, ReturnAddressStack
 from repro.sim.branch.predictors import build_predictor
 from repro.sim.cache.cache import CacheGeometry
 from repro.sim.config import MachineConfig
+from repro.sim.loader import KernelLoader
 from repro.sim.ooo.stats import PipelineStats
 from repro.sim.trace import COLUMNS, FLAG_TAKEN, Trace
 
-__all__ = ["KERNEL", "KernelLoader", "mispredict_column", "run_kernel", "simulate"]
+__all__ = [
+    "KERNEL", "PARAMS", "RESULTS", "STATUSES", "mispredict_column",
+    "run_kernel", "simulate",
+]
 
 SOURCE = Path(__file__).with_name("kernel.c")
-FLAGS = ("-O2", "-shared", "-fPIC")
 
-#: The result vector, in ``kernel.c``'s ``R_*`` order.  All but the
-#: last four are PipelineStats fields; those four are cache-state counts
-#: the differential tests compare with the oracle's Cache objects.
+
+def _geometry(config: MachineConfig, level: str) -> CacheGeometry:
+    """One cache level's geometry, validated as the oracle's is."""
+    hierarchy = config.hierarchy
+    return CacheGeometry(
+        level.upper(), getattr(hierarchy, f"{level}_size"),
+        getattr(hierarchy, f"{level}_assoc"), hierarchy.line_bytes, 0,
+    )
+
+
+def _latency(cls: OpClass) -> tuple:
+    return f"latency_{cls.name.lower()}", lambda config: config.latencies[cls]
+
+
+#: The parameter vector (``P_*``): its fields and how to read each off
+#: a MachineConfig.
+PARAMS = (
+    ("fetch_width", lambda config: config.fetch_width),
+    ("decode_width", lambda config: config.decode_width),
+    ("issue_width", lambda config: config.issue_width),
+    ("commit_width", lambda config: config.commit_width),
+    ("window_size", lambda config: config.window_size),
+    ("fetch_queue", lambda config: config.fetch_queue),
+    ("int_alus", lambda config: config.int_alus),
+    ("int_muldiv", lambda config: config.int_muldiv),
+    ("cache_ports", lambda config: config.cache_ports),
+    ("phys_regs", lambda config: config.phys_regs),
+    ("mispredict_penalty", lambda config: config.mispredict_penalty),
+    ("l1_latency", lambda config: config.hierarchy.l1_latency),
+    ("l2_latency", lambda config: config.hierarchy.l2_latency),
+    ("memory_latency", lambda config: config.hierarchy.memory_latency),
+    ("line_shift",
+     lambda config: config.hierarchy.line_bytes.bit_length() - 1),
+    ("l1i_sets", lambda config: _geometry(config, "l1i").num_sets),
+    ("l1i_assoc", lambda config: _geometry(config, "l1i").assoc),
+    ("l1d_sets", lambda config: _geometry(config, "l1d").num_sets),
+    ("l1d_assoc", lambda config: _geometry(config, "l1d").assoc),
+    ("l2_sets", lambda config: _geometry(config, "l2").num_sets),
+    ("l2_assoc", lambda config: _geometry(config, "l2").assoc),
+    # One latency per op class, in OpClass order.
+    *map(_latency, OpClass),
+)
+
+#: The result vector (``R_*``).  All but the last four are
+#: PipelineStats fields; those four are cache-state counts the
+#: differential tests compare with the oracle's Cache objects.
 RESULTS = (
     "cycles", "program_insts", "committed", "dispatched", "eliminated",
     "rename_stall_cycles", "window_full_stall_cycles", "control_insts",
@@ -61,8 +109,8 @@ RESULTS = (
 )
 _STATS_FIELDS = RESULTS[:-4]
 
-#: The item sizes ``kernel.c`` assumes for each trace column typecode.
-_ITEM_SIZES = {"i": 4, "q": 8, "h": 2, "b": 1, "B": 1}
+#: ``kernel.c``'s return codes (``ST_*``).
+STATUSES = ("ok", "bad_trace", "no_memory", "bad_params")
 
 #: The trace columns ``kernel.c`` reads, in its argument order: the
 #: dynamic ones (the mispredict column follows them), then the static.
@@ -159,124 +207,18 @@ def _predict(trace: Trace, config: MachineConfig) -> array:
 # Build and load.
 # ----------------------------------------------------------------------
 
-class KernelLoader:
-    """Builds ``kernel.c`` once per digest and loads it with ctypes.
-
-    :meth:`load` returns the kernel's entry point, or ``None`` when the
-    kernel is unavailable, with :attr:`reason` saying why (no compiler,
-    a failed build or load, or array item sizes the kernel does not
-    assume).  The outcome is decided once per loader.
-    """
-
-    def __init__(self, compiler: str = "cc") -> None:
-        self.compiler = compiler
-        #: Why the kernel is unavailable (``None`` once it loaded).
-        self.reason: Optional[str] = "not loaded yet"
-        self._entry: Optional[Callable[..., int]] = None
-        self._loaded = False
-        self._lock = threading.Lock()
-
-    def load(self) -> Optional[Callable[..., int]]:
-        if not self._loaded:
-            with self._lock:
-                if not self._loaded:
-                    self._entry = self._load()
-                    self._loaded = True
-        return self._entry
-
-    def _load(self) -> Optional[Callable[..., int]]:
-        import ctypes
-        import shutil
-
-        sizes = {code: array(code).itemsize for code in _ITEM_SIZES}
-        if sizes != _ITEM_SIZES:
-            self.reason = f"array item sizes {sizes} differ from {_ITEM_SIZES}"
-            return None
-        compiler = shutil.which(self.compiler)
-        if compiler is None:
-            self.reason = f"no C compiler found at {self.compiler!r}"
-            return None
-        source = SOURCE.read_bytes()
-        digest = hashlib.sha256(
-            b"\0".join([source, os.path.realpath(compiler).encode(),
-                        " ".join(FLAGS).encode()])
-        ).hexdigest()[:16]
-        name = f"ooo-kernel-{digest}.so"
-        directory = _user_cache_dir()
-        scratch = None
-        if directory is None:
-            # Build privately: never load a file someone else could plant.
-            directory = scratch = Path(tempfile.mkdtemp(prefix="repro-native-"))
-        path = directory / name
-        try:
-            if scratch is not None or not path.exists():
-                failure = _build(compiler, source, path)
-                if failure is not None:
-                    self.reason = failure
-                    return None
-            entry = ctypes.CDLL(str(path)).repro_ooo_run
-        except OSError as error:
-            self.reason = f"cannot load {path}: {error}"
-            return None
-        finally:
-            if scratch is not None:
-                shutil.rmtree(scratch, ignore_errors=True)
-        pointer, size = ctypes.c_void_p, ctypes.c_int64
-        entry.argtypes = [
-            pointer, size,
-            pointer, pointer, pointer, pointer, pointer, size,
-            pointer, pointer, pointer, size,
-            pointer, size,
-        ]
-        entry.restype = ctypes.c_int
-        self.reason = None
-        return entry
-
-
-def _user_cache_dir() -> Optional[Path]:
-    """``$XDG_CACHE_HOME/repro/native``, if it is private and writable."""
-    base = os.environ.get("XDG_CACHE_HOME") or os.path.join(
-        os.path.expanduser("~"), ".cache"
-    )
-    if not os.path.isabs(base):
-        return None
-    directory = Path(base) / "repro" / "native"
-    try:
-        directory.mkdir(mode=0o700, parents=True, exist_ok=True)
-        info = directory.stat()
-    except OSError:
-        return None
-    if (info.st_uid != os.getuid() or info.st_mode & 0o022
-            or not os.access(directory, os.W_OK)):
-        return None
-    return directory
-
-
-def _build(compiler: str, source: bytes, path: Path) -> Optional[str]:
-    """Compile ``source`` to ``path`` atomically; the failure, or None."""
-    import subprocess
-
-    handle, temp = tempfile.mkstemp(dir=path.parent, suffix=".so.tmp")
-    os.close(handle)
-    try:
-        result = subprocess.run(
-            [compiler, *FLAGS, "-x", "c", "-", "-o", temp],
-            input=source, capture_output=True,
-        )
-        if result.returncode != 0:
-            output = result.stderr.decode("utf-8", "replace").strip()
-            return f"{compiler} failed ({result.returncode}): {output[-500:]}"
-        os.replace(temp, path)
-        return None
-    except OSError as error:
-        return f"cannot run {compiler}: {error}"
-    finally:
-        if os.path.exists(temp):
-            os.unlink(temp)
-
+_POINTER = "void_p"
+_SIZE = "int64"
 
 #: The process's loader; ``simulate`` asks it for the kernel.
-KERNEL = KernelLoader()
+KERNEL = KernelLoader(SOURCE, "ooo-kernel", "the native timing kernel", {
+    "repro_ooo_run": ("int", [
+        _POINTER, _SIZE,
+        _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _SIZE,
+        _POINTER, _POINTER, _POINTER, _SIZE,
+        _POINTER, _SIZE,
+    ]),
+})
 
 
 # ----------------------------------------------------------------------
@@ -284,32 +226,12 @@ KERNEL = KernelLoader()
 # ----------------------------------------------------------------------
 
 def run_kernel(
-    entry: Callable[..., int], config: MachineConfig, trace: Trace,
-    column: array,
+    library: Any, config: MachineConfig, trace: Trace, column: array,
 ) -> dict:
     """Every ``RESULTS`` count of one kernel run over ``trace``."""
     import ctypes
 
-    hierarchy = config.hierarchy
-    geometry = [
-        CacheGeometry(name, size, assoc, hierarchy.line_bytes, 0)
-        for name, size, assoc in (
-            ("L1I", hierarchy.l1i_size, hierarchy.l1i_assoc),
-            ("L1D", hierarchy.l1d_size, hierarchy.l1d_assoc),
-            ("L2", hierarchy.l2_size, hierarchy.l2_assoc),
-        )
-    ]
-    values = [
-        config.fetch_width, config.decode_width, config.issue_width,
-        config.commit_width, config.window_size, config.fetch_queue,
-        config.int_alus, config.int_muldiv, config.cache_ports,
-        config.phys_regs, config.mispredict_penalty,
-        hierarchy.l1_latency, hierarchy.l2_latency, hierarchy.memory_latency,
-        hierarchy.line_bytes.bit_length() - 1,
-    ]
-    for cache in geometry:
-        values += [cache.num_sets, cache.assoc]
-    values += [config.latencies[OpClass(code)] for code in range(NUM_OP_CLASSES)]
+    values = [get(config) for _, get in PARAMS]
     params = (ctypes.c_int64 * len(values))(*values)
     results = (ctypes.c_int64 * len(RESULTS))()
 
@@ -325,30 +247,32 @@ def run_kernel(
             f"trace {trace.program_name!r} columns are not the columnar layout"
         )
     address = [col.buffer_info()[0] for col in dynamic + static]
-    status = entry(
+    status = library.repro_ooo_run(
         params, len(values),
         *address[:5], total,
         *address[5:], n_static,
         results, len(RESULTS),
     )
-    if status == 1:
+    name = STATUSES[status] if 0 <= status < len(STATUSES) else None
+    if name == "bad_trace":
         raise SimulationError(
             f"trace {trace.program_name!r} row {results[0]} has an "
             "out-of-range pc, class, register or free mask"
         )
-    if status == 2:
+    if name == "no_memory":
         raise MemoryError("the timing kernel could not allocate its state")
-    if status != 0:
+    if name != "ok":
         raise SimulationError(f"the timing kernel refused its parameters ({status})")
     return dict(zip(RESULTS, results))
 
 
 def simulate(config: MachineConfig, trace: Trace) -> Optional[PipelineStats]:
-    """The kernel's statistics for one run, or ``None`` if it did not load."""
-    entry = KERNEL.load()
-    if entry is None:
+    """The kernel's statistics for one run, or ``None`` if it did not load
+    (warning once)."""
+    library = KERNEL.load_or_warn()
+    if library is None:
         return None
-    counts = run_kernel(entry, config, trace, mispredict_column(trace, config))
+    counts = run_kernel(library, config, trace, mispredict_column(trace, config))
     stats = PipelineStats(**{name: counts[name] for name in _STATS_FIELDS})
     stats.annotation_insts = len(trace.pcs) - stats.program_insts
     return stats

@@ -24,7 +24,7 @@ from typing import List, Optional, Sequence
 from repro.dvi.config import DVIConfig
 from repro.errors import SimulationError
 from repro.program.program import Program
-from repro.sim.functional import FunctionalSimulator, FunctionalStats
+from repro.sim.functional import FunctionalStats, simulator
 from repro.threads.context import ContextBlock, SwitchStats
 
 
@@ -65,7 +65,7 @@ class RoundRobinScheduler:
         self.quantum = quantum
         self.max_total_steps = max_total_steps
         self._sims = [
-            FunctionalSimulator(program, self.dvi, collect_trace=False)
+            simulator(program, self.dvi, collect_trace=False)
             for program in programs
         ]
         self._contexts = [ContextBlock() for _ in programs]
@@ -127,7 +127,7 @@ class RoundRobinScheduler:
     def _switch_out(self, thread: int, stats: SwitchStats) -> None:
         sim = self._sims[thread]
         executed = self._contexts[thread].save(
-            sim.regs, sim.engine.save_lvm(), self._saveable
+            sim.regs, sim.save_lvm(), self._saveable
         )
         self._ever_saved[thread] = True
         stats.saves_executed += executed
@@ -140,7 +140,7 @@ class RoundRobinScheduler:
         sim = self._sims[thread]
         context = self._contexts[thread]
         # lvm_load precedes the restores (section 6.1).
-        sim.engine.load_lvm(context.saved_lvm)
+        sim.load_lvm(context.saved_lvm)
         executed = context.restore(sim.regs, self._saveable)
         stats.restores_executed += executed
         stats.restores_possible += self._n_saveable

@@ -1,28 +1,25 @@
-"""Superblock-adversarial differential tests.
+"""Adversarial control-flow shapes, on every functional engine.
 
-The fuzz differential suite (test_differential.py) already runs the
-specialized engine — superblocks included — against the reference
-interpreter over random call DAGs.  This file attacks the *block
-machinery itself* with the control-flow shapes most likely to break
-fused dispatch:
+The fuzz differential suite (test_differential.py) runs random call
+DAGs.  This file runs the control-flow shapes most likely to trip a
+dispatch loop that keeps anything per pc or per straight-line run:
 
-* computed jumps that land in a **block interior** (a pc that is not a
-  leader, so dispatch must fall back to per-pc closures until the next
-  leader);
-* **single-instruction blocks** (alternating op/branch code, and
-  branch-to-branch chains where every block is one control transfer);
+* computed jumps that land **inside a straight-line run** (a jump table
+  entering one run at offsets 0, 2 and 5);
+* **one-instruction runs** (alternating op/branch code, and
+  branch-to-branch chains where every run is one control transfer);
 * **backward branches and tight loops** (2-3 instruction loop bodies
-  executed thousands of times — the worst case for per-block counter
-  batching);
-* **maximum-length runs** around :data:`MAX_BLOCK_LEN` (63/64/65/200),
-  where capped blocks must chain into their successors.
+  executed thousands of times);
+* **long straight runs** of 63 to 197 instructions, re-entered by a
+  backward branch.
 
-Every program runs through both engines across representative DVI
-configurations; statistics, registers, memory, and every trace row
-must be identical.  A final guard pins that fused dispatch was
-actually engaged (a broken ``_install_superblocks`` that silently
-falls back per-pc would otherwise vacuously pass this whole file).
+Every program runs on the per-pc Python engine and on the reference
+interpreter, whose statistics, registers, memory and trace rows must be
+identical, and on the native engine, whose result must pickle to the
+Python engine's bytes.
 """
+
+import pickle
 
 import pytest
 
@@ -30,12 +27,11 @@ from repro.dvi.config import DVIConfig, SRScheme
 from repro.isa import registers as regs
 from repro.program.builder import ProgramBuilder
 from repro.rewrite.edvi import insert_edvi
-from repro.sim.compile import MAX_BLOCK_LEN, compile_program
+from repro.sim import functional_native
 from repro.sim.functional import FunctionalSimulator, ReferenceSimulator
 
-#: The configurations that exercise distinct codegen variants: the
-#: nodvi fast path, I-DVI alone, and the full engine with both
-#: elimination schemes (hooks + LVM masks in the generated bodies).
+#: The nodvi fast path, I-DVI alone, and the full engine with both
+#: elimination schemes.
 DVI_CONFIGS = [
     DVIConfig.none(),
     DVIConfig.idvi_only(),
@@ -74,6 +70,10 @@ def check(program, dvi, **kwargs):
     fast, slow = run_both(program, dvi, **kwargs)
     assert fast.stats.completed
     assert_equivalent(fast, slow)
+    if functional_native.ENGINE.load() is not None:
+        native = functional_native.native_simulator(program, dvi, **kwargs)
+        assert native is not None
+        assert pickle.dumps(native.run()) == pickle.dumps(fast)
     return fast
 
 
@@ -82,13 +82,11 @@ def check(program, dvi, **kwargs):
 # ----------------------------------------------------------------------
 
 def interior_entry_program() -> ProgramBuilder:
-    """A jump table whose entries land *inside* a fused block.
+    """A jump table whose entries land *inside* a straight-line run.
 
-    The straight-line run below compiles into one superblock (none of
-    its pcs except the leader start a block); the ``jr`` dispatches
-    through data-segment addresses the compiler cannot see, entering
-    the block at offsets 0, 2, and 5.  Dispatch must execute the
-    interior suffixes per-pc and still produce identical traces.
+    No static branch targets the run's interior; the ``jr`` dispatches
+    through data-segment addresses, entering the run at offsets 0, 2,
+    and 5, and every entry must produce identical traces.
     """
     b = ProgramBuilder("interior_entry")
     b.zeros("out", 4)
@@ -102,8 +100,8 @@ def interior_entry_program() -> ProgramBuilder:
     b.add(regs.T0, regs.T0, regs.T1)
     b.lw(regs.T1, 0, regs.T0)
     b.jr(regs.T1)               # computed entry: blk+0 / blk+2 / blk+5
-    # One long straight-line block; "mid" and "late" are plain labels
-    # (never static branch targets), so they are NOT leaders.
+    # One long straight-line run; "mid" and "late" are plain labels,
+    # never static branch targets.
     b.label("blk")
     b.addi(regs.S1, regs.S1, 1)
     b.xori(regs.S1, regs.S1, 0x15)
@@ -125,17 +123,17 @@ def interior_entry_program() -> ProgramBuilder:
 
 
 def single_inst_blocks_program() -> ProgramBuilder:
-    """Every block is one instruction: op/branch alternation plus a
-    branch-to-branch chain (a control transfer whose fall-through is
-    another control transfer)."""
+    """Every straight-line run is one instruction: op/branch alternation
+    plus a branch-to-branch chain (a control transfer whose fall-through
+    is another control transfer)."""
     b = ProgramBuilder("single_inst")
     b.label("main")
     b.li(regs.T0, 6)
     b.li(regs.S0, 0)
-    b.label("top")                    # leader: single addi block
-    b.addi(regs.S0, regs.S0, 5)      # (next pc is the branch leader)
-    b.bne(regs.T0, regs.ZERO, "step")  # branch: 1-inst block
-    b.j("fin")                       # fall-through of a branch: leader
+    b.label("top")                    # branch target: a 1-inst run
+    b.addi(regs.S0, regs.S0, 5)
+    b.bne(regs.T0, regs.ZERO, "step")  # branch: a 1-inst run
+    b.j("fin")                       # fall-through of a branch
     b.label("step")
     b.addi(regs.T0, regs.T0, -1)
     b.bgtz(regs.T0, "top")           # backward branch
@@ -170,8 +168,8 @@ def tight_loop_program(trips: int) -> ProgramBuilder:
 
 
 def straight_run_program(length: int) -> ProgramBuilder:
-    """One straight-line run of ``length`` ALU ops (no interior leader),
-    executed twice via a backward branch so chained blocks re-enter."""
+    """One straight-line run of ``length`` ALU ops (no interior branch
+    target), executed twice via a backward branch."""
     b = ProgramBuilder(f"run_{length}")
     b.label("main")
     b.li(regs.T0, 2)
@@ -205,8 +203,8 @@ def _build(builder: ProgramBuilder, dvi: DVIConfig):
 class TestInteriorEntry:
     # E-DVI insertion requires an analyzable CFG, and a jr through a
     # non-ra register is exactly what it rejects — so the computed-entry
-    # adversary runs under the non-rewriting configurations (the hooked
-    # codegen variants are covered by the other scenarios).
+    # adversary runs under the non-rewriting configurations (the other
+    # scenarios cover the DVI mechanisms).
     @pytest.mark.parametrize(
         "dvi", [DVIConfig.none(), DVIConfig.idvi_only()],
         ids=["none", "idvi"],
@@ -214,11 +212,6 @@ class TestInteriorEntry:
     def test_computed_jump_into_block_interior(self, dvi):
         program = _build(interior_entry_program(), dvi)
         fast = check(program, dvi, max_steps=100_000)
-        # The adversary premise: the interior labels must NOT be block
-        # leaders, or this test degrades into plain block dispatch.
-        compiled = compile_program(program)
-        for label in ("mid", "late"):
-            assert compiled.len_by_pc[program.labels[label]] == 0
         assert fast.stats.exit_value == check(
             program, dvi, max_steps=100_000
         ).stats.exit_value
@@ -239,54 +232,9 @@ class TestTightLoops:
         check(program, dvi, max_steps=100_000)
 
 
-class TestMaxLengthRuns:
-    @pytest.mark.parametrize(
-        "length",
-        [MAX_BLOCK_LEN - 1, MAX_BLOCK_LEN, MAX_BLOCK_LEN + 1,
-         3 * MAX_BLOCK_LEN + 5],
-    )
-    def test_capped_blocks_chain(self, length):
+class TestLongRuns:
+    @pytest.mark.parametrize("length", [63, 64, 65, 197])
+    def test_long_straight_runs(self, length):
         dvi = DVIConfig.full(SRScheme.LVM_STACK)
         program = _build(straight_run_program(length), dvi)
         check(program, dvi, max_steps=100_000)
-
-    def test_long_run_splits_at_cap(self):
-        program = straight_run_program(3 * MAX_BLOCK_LEN + 5).build()
-        compiled = compile_program(program)
-        assert all(ln <= MAX_BLOCK_LEN for _, ln in compiled.blocks)
-        assert any(ln == MAX_BLOCK_LEN for _, ln in compiled.blocks)
-
-
-class TestDispatchEngaged:
-    """Guards against the vacuous-pass failure mode."""
-
-    def test_superblocks_actually_compiled_and_dispatched(self):
-        program = tight_loop_program(50).build()
-        dvi = DVIConfig.none()
-        sim = FunctionalSimulator(program, dvi)
-        sim.run()
-        assert compile_program(program).n_blocks > 0
-        assert any(blk is not None for blk in sim._blk_fns), (
-            "fused dispatch was not installed"
-        )
-        assert sum(sim._bcounts) > 0, "no block function ever executed"
-        assert "_superblocks" in program.__dict__
-
-    def test_live_histogram_runs_step_per_pc(self):
-        """The histogram samples the LVM after every instruction, so a
-        live-hist run executes no block and matches the reference; the
-        same program without it executes blocks."""
-        dvi = DVIConfig.full(SRScheme.LVM_STACK)
-        program = _build(tight_loop_program(50), dvi)
-        sim = FunctionalSimulator(program, dvi, collect_live_hist=True)
-        fast = sim.run()
-        assert all(blk is None for blk in sim._blk_fns)
-        assert sum(sim._bcounts) == 0
-        slow = ReferenceSimulator(program, dvi, collect_live_hist=True).run()
-        assert fast.stats.live_hist
-        assert fast.stats.live_hist == slow.stats.live_hist
-        assert_equivalent(fast, slow)
-
-        fused = FunctionalSimulator(program, dvi)
-        fused.run()
-        assert sum(fused._bcounts) > 0

@@ -107,8 +107,8 @@ class TestFuzzDifferential:
 
 
 class TestCutDifferential:
-    """Runs cut by ``max_steps`` mid-run: the budget lands inside fused
-    blocks, and the last row's successor comes from ``end_pc``."""
+    """Runs cut by ``max_steps`` mid-run: the last row's successor comes
+    from ``end_pc``."""
 
     @pytest.mark.parametrize("seed", range(4))
     @pytest.mark.parametrize(
@@ -150,12 +150,9 @@ class TestWorkloadDifferential:
     def test_observable_data_segment_matches(self):
         program = insert_edvi(get_program("perl_like", 1)).program
         fast, slow = run_both(program, DVIConfig.full(SRScheme.LVM_STACK))
-        segment = lambda result: {  # noqa: E731
-            addr: value
-            for addr, value in result.memory.items()
-            if DATA_BASE <= addr * 4 < _DATA_LIMIT
-        }
-        assert segment(fast) == segment(slow)
+        assert fast.data_segment(DATA_BASE, _DATA_LIMIT)
+        assert (fast.data_segment(DATA_BASE, _DATA_LIMIT)
+                == slow.data_segment(DATA_BASE, _DATA_LIMIT))
         assert fast.stats.exit_value == slow.stats.exit_value
 
 

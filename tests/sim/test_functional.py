@@ -6,7 +6,7 @@ from repro.dvi.config import DVIConfig, SRScheme
 from repro.errors import SimulationError
 from repro.isa import registers as R
 from repro.program.builder import ProgramBuilder
-from repro.program.program import STACK_TOP
+from repro.program.program import DATA_BASE, STACK_TOP
 from repro.sim.functional import FunctionalSimulator, run_program
 
 
@@ -167,6 +167,25 @@ class TestMemory:
         def body(b):
             b.move(R.V0, R.SP)
         assert exit_value(body) == STACK_TOP
+
+    def test_data_segment_takes_byte_bounds(self):
+        """``data_segment`` bounds are byte addresses; memory is keyed by
+        word index.  Stack words stay out, every data word is in."""
+        def body(b):
+            addr = b.words("arr", [5, 6])
+            b.li(R.T0, addr)
+            b.li(R.T1, 9)
+            b.sw(R.T1, 4, R.T0)
+            b.addi(R.SP, R.SP, -8)
+            b.sw(R.T1, 0, R.SP)
+            b.sw(R.T1, 4, R.SP)
+        result = run_asm(body)
+        data = DATA_BASE >> 2
+        assert result.data_segment(DATA_BASE, STACK_TOP - (1 << 20)) == {
+            data: 5, data + 1: 9,
+        }
+        stack = result.data_segment(STACK_TOP - 8, STACK_TOP)
+        assert stack == {(STACK_TOP - 8) >> 2: 9, (STACK_TOP - 4) >> 2: 9}
 
 
 class TestControlFlow:

@@ -32,6 +32,7 @@ from repro.sim.branch.predictors import PREDICTORS
 from repro.sim.cache.hierarchy import HIERARCHIES
 from repro.sim.config import MachineConfig
 from repro.sim.functional import run_program
+from repro.sim.loader import KernelLoader
 from repro.sim.ooo import native
 from repro.sim.ooo.core import OutOfOrderCore, simulate
 from repro.workloads.fuzz import generate_program
@@ -58,6 +59,12 @@ def trace_of(source, mode):
     if edvi_binary:
         program = insert_edvi(program).program
     return run_program(program, dvi, collect_trace=True).trace
+
+
+def unloaded(loader, compiler="cc"):
+    """A new, unloaded copy of ``loader`` that builds with ``compiler``."""
+    return KernelLoader(loader.source, loader.stem, loader.engine,
+                        loader.symbols, compiler)
 
 
 def kernel():
@@ -298,11 +305,13 @@ class TestRobustness:
         assert len(result.stdout.split()) == 10
 
     def test_missing_compiler_falls_back_to_the_oracle(self, monkeypatch):
-        loader = native.KernelLoader(compiler="/nonexistent/cc")
+        loader = unloaded(native.KERNEL, compiler="/nonexistent/cc")
         monkeypatch.setattr(native, "KERNEL", loader)
         trace = trace_of(("suite", "vortex_like"), 2)
         config = MachineConfig.micro97().with_phys_regs(40)
-        assert simulate(config, trace) == OutOfOrderCore(config, trace).run()
+        with pytest.warns(RuntimeWarning, match="native timing kernel"):
+            stats = simulate(config, trace)
+        assert stats == OutOfOrderCore(config, trace).run()
         assert loader.load() is None
         assert "/nonexistent/cc" in loader.reason
 
@@ -347,12 +356,12 @@ class TestRobustness:
 class TestBuildDirectory:
     def test_a_private_build_is_reused(self, tmp_path, monkeypatch):
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
-        assert native.KernelLoader().load() is not None
+        assert unloaded(native.KERNEL).load() is not None
         directory = tmp_path / "repro" / "native"
         [built] = directory.glob("ooo-kernel-*.so")
         assert directory.stat().st_mode & 0o777 == 0o700
         stamp = built.stat().st_mtime_ns
-        assert native.KernelLoader().load() is not None
+        assert unloaded(native.KERNEL).load() is not None
         assert built.stat().st_mtime_ns == stamp
         assert list(directory.iterdir()) == [built]
 
@@ -360,7 +369,7 @@ class TestBuildDirectory:
                                                      monkeypatch):
         private = tmp_path / "private"
         monkeypatch.setenv("XDG_CACHE_HOME", str(private))
-        assert native.KernelLoader().load() is not None
+        assert unloaded(native.KERNEL).load() is not None
         [built] = (private / "repro" / "native").glob("ooo-kernel-*.so")
         shared = tmp_path / "shared" / "repro" / "native"
         shared.mkdir(parents=True)
@@ -368,6 +377,6 @@ class TestBuildDirectory:
         planted = shared / built.name
         planted.write_bytes(b"not a shared object")
         monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path / "shared"))
-        loader = native.KernelLoader()
+        loader = unloaded(native.KERNEL)
         assert loader.load() is not None, loader.reason
         assert list(shared.iterdir()) == [planted]
