@@ -60,9 +60,11 @@ events-smoke:
 docs-check:
 	$(PYTHON) scripts/check_docs.py
 
-## pytest-benchmark harness.
+## pytest-benchmark harness: the nine figure harnesses.  Named by file,
+## because pytest collects only test_*.py by default and widening
+## python_files would also import benchmarks/perf/*.py.
 bench:
-	$(PYTHON) -m pytest benchmarks -q
+	$(PYTHON) -m pytest benchmarks/bench_*.py -q
 
 ## Simulation-core perf harness; writes BENCH_simcore.json at the root.
 ## PROFILE=tiny for CI-sized runs.

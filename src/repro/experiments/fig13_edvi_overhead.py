@@ -21,8 +21,8 @@ from repro.sim.config import MachineConfig
 
 ICACHE_SIZES = (32 * 1024, 64 * 1024)
 
-#: Binary, trace, and per-I-cache-size timing cells for each workload.
-#: Every cell runs the Figure 13 DVI setting (annotations present but
+#: Binary and per-I-cache-size timing cells for each workload.  Every
+#: cell runs the Figure 13 DVI setting (annotations present but
 #: unexploited), once with the plain binary and once with the annotated
 #: one.
 SPEC = SweepSpec(
@@ -37,13 +37,21 @@ SPEC = SweepSpec(
     machine=lambda point: MachineConfig.micro97_unconstrained()
     .with_icache(point["icache"]),
     include_binary=True,
-    include_traces=True,
+)
+
+#: One functional cell per workload, the annotated binary under the same
+#: setting: its dynamic kill and program instruction counts.
+COUNT_SPEC = SweepSpec(
+    name="fig13-counts",
+    kind="functional",
+    workloads="workloads",
+    modes=(Mode("annotated", DVIConfig.edvi_overhead(), edvi_binary=True),),
 )
 
 
 def jobs(profile: ExperimentProfile):
-    """The spec's cells (kept as the uniform per-experiment entry point)."""
-    return SPEC.jobs(profile)
+    """The timing and binary cells, plus the functional count cells."""
+    return SPEC.jobs(profile) + COUNT_SPEC.jobs(profile)
 
 
 @dataclass
@@ -80,18 +88,17 @@ def run(profile: ExperimentProfile, context: ExperimentContext = None) -> Fig13R
     """Measure dynamic, static, and IPC overheads of the annotations."""
     context = context or ExperimentContext(profile)
     SPEC.execute(profile, context)
-    dvi = DVIConfig.edvi_overhead()
+    COUNT_SPEC.execute(profile, context)
     plain_mode, annotated_mode = SPEC.modes
+    (count_mode,) = COUNT_SPEC.modes
     rows: List[OverheadRow] = []
     for workload in SPEC.resolve_workloads(profile):
         plain = context.binary(workload, edvi=False)
         annotated = context.binary(workload, edvi=True)
         pct_static = 100.0 * (len(annotated.insts) - len(plain.insts)) / len(plain.insts)
 
-        edvi_trace = context.trace(workload, dvi, edvi_binary=True)
-        pct_dynamic = (
-            100.0 * edvi_trace.annotation_insts / edvi_trace.program_insts
-        )
+        counts = COUNT_SPEC.result(context, count_mode, workload).stats
+        pct_dynamic = 100.0 * counts.kill_insts / counts.program_insts
 
         pct_ipc: Dict[int, float] = {}
         for point in SPEC.points(profile):

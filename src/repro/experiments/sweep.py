@@ -119,9 +119,9 @@ class SweepSpec:
     point to the :class:`MachineConfig` timing cells run on — a fixed
     config, a callable, or ``None`` for functional sweeps.
 
-    ``include_binary`` / ``include_traces`` add the build/trace cells a
-    figure consumes directly (Figure 13 reads static code sizes and
-    annotation counts; Figure 12's scheduler run needs the binaries).
+    ``include_binary`` adds the build cells a figure consumes directly
+    (Figure 13 reads static code sizes; Figure 12's scheduler run needs
+    the binaries).
     """
 
     name: str
@@ -132,7 +132,6 @@ class SweepSpec:
     axes: Tuple[Axis, ...] = ()
     machine: Union[MachineConfig, Callable[[Point], MachineConfig], None] = None
     include_binary: bool = False
-    include_traces: bool = False
 
     # -- resolution ----------------------------------------------------
 
@@ -191,18 +190,6 @@ class SweepSpec:
         plan: List[Job] = []
         if self.include_binary:
             plan.extend(Job(kind="binary", workload=w) for w in workloads)
-        if self.include_traces:
-            for mode in self.modes:
-                seen: List[DVIConfig] = []
-                for point in self.points(profile):
-                    dvi = mode.dvi_at(point)
-                    if dvi in seen:  # trace cells do not vary with machine axes
-                        continue
-                    seen.append(dvi)
-                    for workload in workloads:
-                        plan.append(Job(kind="trace", workload=workload,
-                                        dvi=dvi,
-                                        edvi_binary=mode.edvi_binary))
         for mode in self.modes:
             for point in self.points(profile):
                 for workload in workloads:

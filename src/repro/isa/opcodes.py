@@ -9,9 +9,9 @@ from which every other view is derived:
 * **int-indexed tuples** (``OP_CLASS_CODE``, ``OP_FORMAT``,
   ``OP_IS_LOAD``, ...) — O(1) lookups by raw opcode integer, used on the
   simulators' hot paths and by the assembler/encoder/rewriter;
-* the legacy **enum-keyed dict** ``OP_CLASS`` and the membership
-  **frozensets** (``RRR_OPS``, ``LOAD_OPS``, ...) — kept as derived views
-  for readability and backward compatibility.
+* the **enum-keyed dict** ``OP_CLASS`` and the membership
+  **frozensets** the instruction predicates read (``LOAD_OPS``,
+  ``STORE_OPS``, ``BRANCH_OPS``).
 
 There is deliberately no second place where an opcode's class or format is
 written down; adding an opcode means adding one `_OP_SPEC` row.
@@ -188,17 +188,11 @@ OP_IS_CALL = tuple(op in (Opcode.JAL, Opcode.JALR) for op in Opcode)
 OP_IS_RETURN = tuple(op is Opcode.JR for op in Opcode)
 
 # ----------------------------------------------------------------------
-# Derived enum-keyed views (readability / backward compatibility).
+# Derived enum-keyed views.
 # ----------------------------------------------------------------------
 
 #: Opcode -> OpClass.
 OP_CLASS = {op: cls for op, cls, _ in _OP_SPEC}
-
-#: Register-register ALU ops (rd, rs1, rs2).
-RRR_OPS = frozenset(op for op, _, fmt in _OP_SPEC if fmt == FMT_RRR)
-
-#: Register-immediate ALU ops (rd, rs1, imm).
-RRI_OPS = frozenset(op for op, _, fmt in _OP_SPEC if fmt == FMT_RRI)
 
 #: Loads (rd, imm(rs1)).
 LOAD_OPS = frozenset(op for op, _, fmt in _OP_SPEC if fmt == FMT_LOAD)
@@ -215,18 +209,6 @@ BRANCH_RZ_OPS = frozenset(op for op, _, fmt in _OP_SPEC if fmt == FMT_BR_RZ)
 #: All conditional branches.
 BRANCH_OPS = BRANCH_RR_OPS | BRANCH_RZ_OPS
 
-#: All control-transfer ops (conditional and unconditional).
-CONTROL_OPS = frozenset(op for op in Opcode if OP_IS_CONTROL[op])
-
-#: Opcodes that perform a procedure call.
-CALL_OPS = frozenset(op for op in Opcode if OP_IS_CALL[op])
-
-#: Opcodes used as procedure returns (``jr ra`` by convention).
-RETURN_OPS = frozenset(op for op in Opcode if OP_IS_RETURN[op])
-
-#: Memory-accessing opcodes.
-MEM_OPS = LOAD_OPS | STORE_OPS
-
 #: Execution latency (cycles) by op class, SimpleScalar-like defaults.
 DEFAULT_LATENCY = {
     OpClass.IALU: 1,
@@ -239,11 +221,6 @@ DEFAULT_LATENCY = {
     OpClass.NOP: 1,
     OpClass.SYSCALL: 1,
 }
-
-#: OpClass int code -> default latency (int-indexed view of the above).
-DEFAULT_LATENCY_BY_CODE = tuple(
-    DEFAULT_LATENCY[OpClass(code)] for code in range(NUM_OP_CLASSES)
-)
 
 
 def op_class(op: Opcode) -> OpClass:

@@ -4,8 +4,10 @@ Section 7 of the paper: "Incorrect E-DVI will almost certainly lead to
 incorrect execution ... Errors in E-DVI should be considered compiler
 errors."  This module provides two complementary oracles:
 
-* :func:`verify_dvi` runs a program under the *poison* emulator, which
-  raises :class:`~repro.errors.DVIViolationError` the moment any register
+* :func:`verify_dvi` runs a program under the *poison* emulator (a
+  :class:`~repro.sim.reference.ReferenceSimulator` built with
+  ``verify_dvi=True``), which raises
+  :class:`~repro.errors.DVIViolationError` the moment any register
   asserted dead (by a ``kill`` or by the ABI's implicit masks) is read
   before being overwritten — over a concrete execution, the strongest
   check available without symbolic reasoning;
@@ -24,6 +26,7 @@ from typing import List, Optional, Tuple
 from repro.dvi.config import DVIConfig
 from repro.program.program import DATA_BASE, STACK_TOP, Program
 from repro.sim.functional import FunctionalResult, run_program
+from repro.sim.reference import ReferenceSimulator
 
 
 @dataclass(frozen=True)
@@ -45,13 +48,13 @@ def verify_dvi(
     max_steps: int = 5_000_000,
 ) -> FunctionalResult:
     """Run with dead-value poisoning; raises on any dead-value read."""
-    return run_program(
+    return ReferenceSimulator(
         program,
         dvi if dvi is not None else DVIConfig.full(),
         max_steps=max_steps,
         collect_trace=False,
         verify_dvi=True,
-    )
+    ).run()
 
 
 def check_equivalence(

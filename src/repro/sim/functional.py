@@ -2,9 +2,8 @@
 
 Executes a linked program instruction by instruction, driving a
 :class:`~repro.dvi.engine.DVIEngine` in program order, and optionally
-records a :class:`~repro.sim.trace.Trace` for the timing model, a
-live-register histogram for the context-switch experiment, and a DVI
-correctness check (the "poison" verifier).
+records a :class:`~repro.sim.trace.Trace` for the timing model and a
+live-register histogram for the context-switch experiment.
 
 Architectural conventions:
 
@@ -30,11 +29,15 @@ engines, with no switch:
 
 * the **native functional engine** (:mod:`repro.sim.functional_native`,
   ``functional.c``), a C port of this module's per-pc loop, whenever it
-  loaded, the program encodes exactly and ``verify_dvi`` is off;
+  loaded and the program encodes exactly;
 * :class:`FunctionalSimulator`, the per-pc Python engine, otherwise.  It
   is the fallback (no compiler, a failed build, a program with a field
   the encoding cannot hold) and the native engine's byte-level oracle:
   the differential tests hold the two to identical result pickles.
+
+The reference interpreter (:mod:`repro.sim.reference`), the semantic
+oracle and the poison verifier, is a separate engine that nothing
+selects: it is constructed by its class name.
 
 The per-pc engine uses **decode-time specialization** (threaded-code
 style): :meth:`FunctionalSimulator._specialize` builds a table of
@@ -55,11 +58,6 @@ Each handler returns ``(next_pc, addr, flags, free_mask)`` with
 ``flags`` using the :mod:`repro.sim.trace` bit encoding; non-memory,
 non-control handlers return one pre-built constant tuple, branch
 handlers pick between two.
-
-One slow-path feature delegates to the retained reference interpreter
-(:mod:`repro.sim.reference`): ``verify_dvi``, whose per-step poison
-checks would burden every handler.  The differential fuzz tests run
-both engines over the same programs and assert identical results.
 """
 
 from __future__ import annotations
@@ -75,14 +73,12 @@ from repro.isa import registers as regs
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OP_CLASS_CODE, Opcode
 from repro.program.program import STACK_TOP, Program
-from repro.sim.reference import decode_reference, execute_reference
 from repro.sim.trace import (
     FLAG_ELIMINATED,
     FLAG_FREES,
     FLAG_PROGRAM,
     FLAG_TAKEN,
     Trace,
-    TraceRecord,
     pack_srcs,
 )
 
@@ -694,7 +690,7 @@ class ProgramTables:
         after a top-level return).
         """
         at_halt = sim.halted and sim.pc != len(self.insts)
-        return Trace.from_columns(
+        return Trace(
             sim.program.name,
             sim.dvi_config,
             sim.halted,
@@ -739,7 +735,6 @@ class FunctionalSimulator:
         max_steps: int = 5_000_000,
         collect_trace: bool = True,
         collect_live_hist: bool = False,
-        verify_dvi: bool = False,
     ) -> None:
         program.require_linked()
         self.program = program
@@ -748,7 +743,6 @@ class FunctionalSimulator:
         self.max_steps = max_steps
         self.collect_trace = collect_trace
         self.collect_live_hist = collect_live_hist
-        self.verify_dvi = verify_dvi
 
         self._sentinel = len(program.insts)
 
@@ -760,23 +754,11 @@ class FunctionalSimulator:
             addr >> 2: value & _MASK32 for addr, value in program.data.items()
         }
         self.pc = program.entry_index
-        self._poison = 0  # registers currently asserted dead (verify mode)
         self._saveable = self.dvi_config.abi.saveable_mask()
         self.stats = FunctionalStats()
         self.halted = False
-        self._records: List[TraceRecord] = []
         self._seq = 0
-
-        self._reference_mode = self._use_reference()
-        if self._reference_mode:
-            self._decoded = decode_reference(program.insts)
-        else:
-            self._specialize()
-
-    def _use_reference(self) -> bool:
-        """Whether to run the retained reference interpreter instead of
-        the specialized dispatch (slow-path features only)."""
-        return self.verify_dvi
+        self._specialize()
 
     # ------------------------------------------------------------------
     # Decode-time specialization.
@@ -813,8 +795,6 @@ class FunctionalSimulator:
         resumable core that the thread scheduler time-slices; :meth:`run`
         drives it once to completion.
         """
-        if self._reference_mode:
-            return execute_reference(self, budget)
         if self.halted:
             return False
 
@@ -901,38 +881,19 @@ class FunctionalSimulator:
         """Package the current architectural state and statistics."""
         trace = None
         if self.collect_trace:
-            if self._reference_mode:
-                trace = Trace(
-                    self.program.name,
-                    self.dvi_config,
-                    records=self._records,
-                    completed=self.halted,
-                )
-            else:
-                trace = self._tables.trace(
-                    self,
-                    array("i", self._c_pcs),
-                    array("q", self._c_addrs),
-                    array("q", self._c_free),
-                    array("B", self._c_flags),
-                )
+            trace = self._tables.trace(
+                self,
+                array("i", self._c_pcs),
+                array("q", self._c_addrs),
+                array("q", self._c_free),
+                array("B", self._c_flags),
+            )
         return FunctionalResult(
             stats=self.stats,
             trace=trace,
             registers=list(self.regs),
             memory=dict(self.mem),
         )
-
-
-class ReferenceSimulator(FunctionalSimulator):
-    """A :class:`FunctionalSimulator` pinned to the reference interpreter.
-
-    Used by the differential fuzz tests to compare the specialized
-    dispatch against the retained :mod:`repro.sim.reference` semantics.
-    """
-
-    def _use_reference(self) -> bool:
-        return True
 
 
 def simulator(
@@ -943,19 +904,18 @@ def simulator(
     """The simulator for one run of ``program``, with no switch.
 
     The native engine (:mod:`repro.sim.functional_native`) when it
-    loaded, the program encodes and ``verify_dvi`` is off; otherwise a
+    loaded and the program encodes; otherwise a
     :class:`FunctionalSimulator`.  ``options`` are the
     :class:`FunctionalSimulator` keywords; both engines take them and
     expose ``execute``/``run``/``result``, ``regs``, ``stats``,
     ``save_lvm``/``load_lvm`` and ``halted``.
     """
     program.require_linked()
-    if not options.get("verify_dvi"):
-        from repro.sim import functional_native
+    from repro.sim import functional_native
 
-        native = functional_native.native_simulator(program, dvi, **options)
-        if native is not None:
-            return native
+    native = functional_native.native_simulator(program, dvi, **options)
+    if native is not None:
+        return native
     return FunctionalSimulator(program, dvi, **options)
 
 
@@ -966,7 +926,6 @@ def run_program(
     max_steps: int = 5_000_000,
     collect_trace: bool = True,
     collect_live_hist: bool = False,
-    verify_dvi: bool = False,
 ) -> FunctionalResult:
     """Convenience wrapper: build a simulator and run it once."""
     sim = simulator(
@@ -975,6 +934,5 @@ def run_program(
         max_steps=max_steps,
         collect_trace=collect_trace,
         collect_live_hist=collect_live_hist,
-        verify_dvi=verify_dvi,
     )
     return sim.run()

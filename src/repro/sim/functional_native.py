@@ -6,8 +6,8 @@ C port of :meth:`FunctionalSimulator.execute
 engine it drives, and returns the same
 :class:`~repro.sim.functional.FunctionalResult`, to identical bytes once
 pickled.  :func:`repro.sim.functional.simulator` returns one whenever
-the engine loaded, the program encodes and ``verify_dvi`` is off; the
-per-pc Python engine stays the fallback and the byte-level oracle.
+the engine loaded and the program encodes; the per-pc Python engine
+stays the fallback and the byte-level oracle.
 
 **Encoding.**  :func:`encode` packs every instruction into the
 :data:`FIELDS` int64 words, once per program, and refuses any program
@@ -217,12 +217,11 @@ def native_simulator(
     max_steps: int = 5_000_000,
     collect_trace: bool = True,
     collect_live_hist: bool = False,
-    verify_dvi: bool = False,
 ) -> Optional["NativeFunctionalSimulator"]:
     """A native simulator for this run, or None when the engine did not
     load (warning once) or the run does not encode."""
     library = ENGINE.load_or_warn()
-    if library is None or verify_dvi:
+    if library is None:
         return None
     dvi = dvi if dvi is not None else DVIConfig.none()
     entry = program.labels.get(program.entry)

@@ -687,18 +687,16 @@ class OutOfOrderCore:
         return stats
 
 
-def simulate(
-    config: MachineConfig, trace: Trace, *, check_invariants: bool = False
-) -> PipelineStats:
+def simulate(config: MachineConfig, trace: Trace) -> PipelineStats:
     """Run one trace through one configuration.
 
     Runs the native kernel (:mod:`repro.sim.ooo.native`) whenever it
-    loaded and ``check_invariants`` is false; otherwise this module's
-    :class:`OutOfOrderCore`, the kernel's oracle, which gives identical
-    statistics.
+    loaded; otherwise this module's :class:`OutOfOrderCore`, the
+    kernel's oracle, which gives identical statistics.  Invariant checks
+    run on the oracle by name: ``OutOfOrderCore(config,
+    trace).run(check_invariants=True)``.
     """
-    if not check_invariants:
-        stats = native.simulate(config, trace)
-        if stats is not None:
-            return stats
-    return OutOfOrderCore(config, trace).run(check_invariants=check_invariants)
+    stats = native.simulate(config, trace)
+    if stats is not None:
+        return stats
+    return OutOfOrderCore(config, trace).run()

@@ -19,8 +19,8 @@ This makes trace generation allocation-free per step, lets the timing
 core read plain ints straight out of flat buffers, and pickles as a
 handful of compact byte blobs instead of millions of objects.
 :data:`COLUMNS` is the one table of the eight columns and their array
-typecodes; clearing, adopting, pickling, the replay views and the
-native timing kernel's layout check all read it.
+typecodes; construction, pickling, the replay views and the native
+timing kernel's layout check all read it.
 
 Columns:
 
@@ -39,8 +39,8 @@ scalar ``end_pc`` says what would run after the last row: -1 after
 ``halt``, the sentinel index after a top-level return, and the resume pc
 when the run was cut at its step budget.
 
-Static side-tables, indexed by ``pc`` (entries for never-executed pcs are
--1/0):
+Static side-tables, indexed by ``pc``, one entry per instruction of the
+program, executed or not:
 
 ``s_op`` (``b``) opcode int; ``s_cls`` (``b``) op-class int; ``s_dst``
 (``b``) destination register or -1; ``s_srcs`` (``h``) packed sources.
@@ -49,11 +49,11 @@ Static side-tables, indexed by ``pc`` (entries for never-executed pcs are
 ``(src1 + 1) | ((src2 + 1) << 6)``, 0 meaning "no source in this slot"
 (register numbers are 5 bits, so 6 bits per slot round-trips losslessly).
 
-The **row-view shim**: ``trace.records`` still yields a list of
-:class:`TraceRecord` objects, materialized lazily from the columns, and
-assigning ``trace.records = [...]`` re-encodes the columns — so tests
-and ad-hoc analysis code keep working without the hot paths paying for
-per-row objects.
+The **row-view shim**: ``trace.records`` yields a read-only list of
+:class:`TraceRecord` objects, materialized lazily from the columns, so
+tests and ad-hoc analysis code read rows without the hot paths paying
+for per-row objects.  A trace is built once, from its columns, and
+never re-encoded.
 """
 
 from __future__ import annotations
@@ -222,14 +222,21 @@ class Trace:
         self,
         program_name: str,
         dvi: DVIConfig,
-        records: Optional[List[TraceRecord]] = None,
         completed: bool = True,
+        end_pc: int = -1,
+        **columns: array,
     ) -> None:
+        """Adopt ``columns``, one keyword per :data:`COLUMNS` entry; a
+        column left out starts empty."""
         self.program_name = program_name
         self.dvi = dvi
         self.completed = completed
         #: What would run after the last row (see the module docstring).
-        self.end_pc = -1
+        self.end_pc = end_pc
+        for name, typecode in COLUMNS:
+            setattr(self, name, columns.pop(name, None) or array(typecode))
+        if columns:
+            raise TypeError(f"unknown trace columns: {', '.join(columns)}")
         self._rows: Optional[List[TraceRecord]] = None
         self._program_insts: Optional[int] = None
         self._hot: Optional[tuple] = None
@@ -237,75 +244,6 @@ class Trace:
         #: Mispredict columns by predictor configuration (owned by
         #: :func:`repro.sim.ooo.native.mispredict_column`; never pickled).
         self._mispredicts: Optional[dict] = None
-        self._clear_columns()
-        if records:
-            self._encode_records(records)
-
-    # ------------------------------------------------------------------
-    # Construction.
-    # ------------------------------------------------------------------
-
-    @classmethod
-    def from_columns(
-        cls,
-        program_name: str,
-        dvi: DVIConfig,
-        completed: bool,
-        end_pc: int,
-        **columns: array,
-    ) -> "Trace":
-        """Adopt already-built columns, one keyword per :data:`COLUMNS`
-        entry (the emulator's fast path)."""
-        trace = cls(program_name, dvi, completed=completed)
-        trace.end_pc = end_pc
-        for name, _ in COLUMNS:
-            setattr(trace, name, columns[name])
-        return trace
-
-    def _clear_columns(self) -> None:
-        for name, typecode in COLUMNS:
-            setattr(self, name, array(typecode))
-
-    def _encode_records(self, records: List[TraceRecord]) -> None:
-        """Rebuild every column from a list of row views."""
-        self._clear_columns()
-        self._program_insts = None
-        self._hot = None
-        self._replay = None
-        self._mispredicts = None
-        n_static = 1 + max((r.pc for r in records), default=-1)
-        s_op = array("b", [-1]) * n_static
-        s_cls = array("b", [-1]) * n_static
-        s_dst = array("b", [-1]) * n_static
-        s_srcs = array("h", [0]) * n_static
-        append_pc = self.pcs.append
-        append_addr = self.addrs.append
-        append_free = self.free_masks.append
-        append_flags = self.flags.append
-        for rec in records:
-            pc = rec.pc
-            append_pc(pc)
-            append_addr(rec.addr)
-            append_free(rec.free_mask)
-            append_flags(
-                (FLAG_TAKEN if rec.taken else 0)
-                | (FLAG_ELIMINATED if rec.eliminated else 0)
-                | (FLAG_PROGRAM if rec.is_program else 0)
-                | (FLAG_FREES if rec.free_mask else 0)
-            )
-            s_op[pc] = rec.op
-            s_cls[pc] = rec.cls
-            s_srcs[pc] = pack_srcs(rec.srcs)
-            # An eliminated restore reports dst=-1 (it never dispatches);
-            # the static destination must come from a dispatched instance.
-            if not rec.eliminated:
-                s_dst[pc] = rec.dst
-        self.s_op = s_op
-        self.s_cls = s_cls
-        self.s_dst = s_dst
-        self.s_srcs = s_srcs
-        self.end_pc = records[-1].next_pc if records else -1
-        self._rows = list(records)
 
     # ------------------------------------------------------------------
     # The row-view shim.
@@ -350,19 +288,14 @@ class Trace:
     def records(self) -> List[TraceRecord]:
         """The trace as per-row objects (materialized lazily, then cached).
 
-        The returned list is a *view*: mutating it in place (append,
-        slice-delete, ...) does **not** update the columns, which remain
-        the authoritative storage for ``len``, the statistics, replay,
-        and pickling.  To modify a trace, *assign* a record list —
-        ``trace.records = rows`` re-encodes every column.
+        A read-only *view*: the attribute cannot be assigned, and mutating
+        the returned list in place does not update the columns, which
+        remain the storage for ``len``, the statistics, replay, and
+        pickling.
         """
         if self._rows is None:
             self._rows = self._materialize()
         return self._rows
-
-    @records.setter
-    def records(self, records: List[TraceRecord]) -> None:
-        self._encode_records(records)
 
     # ------------------------------------------------------------------
     # Container protocol and statistics.
@@ -454,17 +387,10 @@ class Trace:
     def __setstate__(self, state: dict) -> None:
         # A payload missing a field (an older format) raises KeyError,
         # and the artifact cache heals the file instead of serving it.
-        self._rows = None
-        self._program_insts = None
-        self._hot = None
-        self._replay = None
-        self._mispredicts = None
-        self.program_name = state["program_name"]
-        self.dvi = state["dvi"]
-        self.completed = state["completed"]
-        self.end_pc = state["end_pc"]
-        for name, _ in COLUMNS:
-            setattr(self, name, state[name])
+        self.__init__(
+            state["program_name"], state["dvi"], state["completed"],
+            state["end_pc"], **{name: state[name] for name, _ in COLUMNS},
+        )
 
     def __repr__(self) -> str:  # pragma: no cover
         return (

@@ -10,7 +10,8 @@ These tests pin what the rest of the pipeline relies on:
 * computing a cold cell looks up exactly itself and its upstream
   chain, once each;
 * an experiment's assembly reads only the cells its ``jobs`` enumerated
-  (Figure 12's scheduler run, computed during assembly, aside).
+  (Figure 12's scheduler run, computed during assembly, aside);
+* a fresh-timing view shares the input kinds' memo layers and no other.
 """
 
 import pickle
@@ -110,6 +111,30 @@ class TestDependencyClosureIsTheComputeChain:
                 for kind, counter in cache.counters.items()} == {
             "binary": 1, "trace": 1, "timed": 2,
         }
+
+
+def test_fresh_timing_views_share_inputs_not_timing():
+    """``with_fresh_timing()``: the binary, trace and functional memo
+    layers are shared by reference; the timed and experiment-specific
+    layers are not."""
+    context = ExperimentContext(TINY)
+    view = context.with_fresh_timing()
+    for cell in CELLS.values():
+        view.cell(cell)
+    for kind, cell in CELLS.items():
+        assert context.holds(cell) == (kind != "timed"), kind
+    assert context.cell(CELLS["trace"]) is view.cell(CELLS["trace"])
+    timed = context.cell(CELLS["timed"])
+    assert timed is not view.cell(CELLS["timed"])
+    assert _bytes(timed) == _bytes(view.cell(CELLS["timed"]))
+
+    calls = []
+    def compute():
+        calls.append(None)
+        return len(calls)
+    assert context.artifact("probe", ("key",), compute) == 1
+    assert context.with_fresh_timing().artifact("probe", ("key",), compute) == 2
+    assert context.artifact("probe", ("key",), compute) == 1
 
 
 @pytest.fixture(scope="module")

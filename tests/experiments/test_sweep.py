@@ -64,12 +64,13 @@ class TestSpecEnumeration:
         assert {job.kind for job in jobs} == {"timed"}
         assert {job.machine.phys_regs for job in jobs} == {34, 64}
 
-    def test_fig13_includes_binary_and_trace_cells(self):
-        jobs = fig13_edvi_overhead.SPEC.jobs(TINY)
+    def test_fig13_plans_binary_count_and_timed_cells(self):
+        jobs = fig13_edvi_overhead.jobs(TINY)
         kinds = [job.kind for job in jobs]
         assert kinds.count("binary") == 1
-        assert kinds.count("trace") == 2   # plain + annotated
+        assert kinds.count("functional") == 1  # the annotated binary's counts
         assert kinds.count("timed") == 4   # 2 modes x 2 icache sizes
+        assert len(kinds) == 6
 
     def test_mode_dvi_may_depend_on_the_point(self):
         spec = ablation_lvmstack_depth.SPEC.with_axis_values("depth", (1, None))

@@ -11,11 +11,8 @@ from repro.isa.opcodes import OpClass, Opcode
 from repro.isa import registers as R
 from repro.program.builder import ProgramBuilder
 from repro.rewrite.edvi import insert_edvi
-from repro.sim.functional import (
-    FunctionalSimulator,
-    ReferenceSimulator,
-    run_program,
-)
+from repro.sim.functional import FunctionalSimulator, run_program
+from repro.sim.reference import ReferenceSimulator
 from repro.sim.trace import (
     COLUMNS,
     FLAG_ELIMINATED,
@@ -55,33 +52,22 @@ class TestSrcsPacking:
 
 
 class TestRowViewEquivalence:
-    def test_row_views_match_reference_records(self):
-        """Columns -> row views must equal the reference interpreter's
-        directly-built TraceRecord objects, field by field."""
+    def test_traces_match_the_reference_interpreter(self):
+        """The production engine's trace pickles to the reference
+        interpreter's bytes: the same columns and static tables."""
         program = insert_edvi(get_program("li_like", 1)).program
-        columnar = run_program(program, DVIConfig.full(SRScheme.LVM_STACK)).trace
-        reference = ReferenceSimulator(
-            program, DVIConfig.full(SRScheme.LVM_STACK)
-        ).run().trace
-        assert_rows_equal(columnar.records, reference.records)
+        dvi = DVIConfig.full(SRScheme.LVM_STACK)
+        columnar = run_program(program, dvi).trace
+        reference = ReferenceSimulator(program, dvi).run().trace
+        assert pickle.dumps(columnar) == pickle.dumps(reference)
 
-    def test_records_round_trip_through_setter(self):
+    def test_records_cannot_be_assigned(self):
         trace = eliminating_trace()
-        original = trace.records
-        rebuilt = Trace(trace.program_name, trace.dvi, records=list(original))
-        assert_rows_equal(rebuilt.records, original)
-        assert rebuilt.program_insts == trace.program_insts
-        assert rebuilt.annotation_insts == trace.annotation_insts
-        assert rebuilt.op_histogram() == trace.op_histogram()
-
-    def test_truncating_setter_reencodes_columns(self):
-        trace = eliminating_trace()
-        trace.records = trace.records[:100]
-        assert len(trace) == 100
-        assert len(trace.pcs) == 100
-        assert trace.program_insts == sum(
-            1 for r in trace.records if r.is_program
-        )
+        rows = trace.records
+        with pytest.raises(AttributeError):
+            trace.records = rows[:100]
+        assert trace.records is rows
+        assert len(trace) == len(rows)
 
     def test_row_enums_are_real_enums(self):
         trace = eliminating_trace()

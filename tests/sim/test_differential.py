@@ -1,24 +1,26 @@
-"""Differential tests: specialized dispatch vs the reference interpreter.
+"""Differential tests: the per-pc engine against the reference interpreter.
 
-The functional emulator has two execution engines — the decode-time
-specialized dispatch (:class:`repro.sim.functional.FunctionalSimulator`)
-and the retained monolithic interpreter
-(:mod:`repro.sim.reference`, pinned via
-:class:`repro.sim.functional.ReferenceSimulator`).  These tests run the
-same programs through both, across the DVI configuration space, and
-assert that everything observable is identical: dynamic statistics, the
-data segment, the exit value, and every trace row.
+The per-pc Python engine (:class:`repro.sim.functional.FunctionalSimulator`)
+and the reference interpreter (:class:`repro.sim.reference.ReferenceSimulator`)
+share no decode, state, loop or statistics code, and the reference never
+reads the per-pc engine's ``ProgramTables``.  These tests run the same
+programs through both, across the DVI configuration space, and assert
+that the whole results pickle to the same bytes: every statistics field
+with its type, the registers, the memory in key order, and the trace,
+static tables of never-executed pcs included.
 """
 
 import dataclasses
+import pickle
 import random
 
 import pytest
 
 from repro.dvi.config import DVIConfig, SRScheme
-from repro.program.program import DATA_BASE, STACK_TOP
 from repro.rewrite.edvi import insert_edvi
-from repro.sim.functional import FunctionalSimulator, ReferenceSimulator
+from repro.sim.functional import FunctionalSimulator
+from repro.sim.reference import ReferenceSimulator
+from repro.workloads.common import REGISTRY
 from repro.workloads.fuzz import FuzzConfig, generate_program
 from repro.workloads.suite import get_program
 
@@ -37,8 +39,20 @@ DVI_CONFIGS = [
         DVIConfig.full(SRScheme.LVM_STACK), lvm_stack_depth=None
     ),
 ]
+_IDS = [f"{c.label()}-{c.scheme.name}-d{c.lvm_stack_depth}" for c in DVI_CONFIGS]
 
-_DATA_LIMIT = STACK_TOP - (1 << 20)
+#: {trace, no trace, live histogram with and without trace}.
+MODES = [
+    dict(collect_trace=True),
+    dict(collect_trace=False),
+    dict(collect_trace=True, collect_live_hist=True),
+    dict(collect_trace=False, collect_live_hist=True),
+]
+_MODE_IDS = ["trace", "no-trace", "trace-hist", "hist"]
+
+
+def binary(program, dvi):
+    return insert_edvi(program).program if dvi.use_edvi else program
 
 
 def run_both(program, dvi, **kwargs):
@@ -47,113 +61,54 @@ def run_both(program, dvi, **kwargs):
     return fast, slow
 
 
-def assert_equivalent(fast, slow, *, compare_traces=True):
-    assert fast.stats == slow.stats  # dataclass: field-by-field equality
-    assert fast.registers == slow.registers
-    assert fast.memory == slow.memory
-    if compare_traces:
-        assert fast.trace is not None and slow.trace is not None
-        assert fast.trace.completed == slow.trace.completed
-        assert fast.trace.end_pc == slow.trace.end_pc
-        fast_rows = fast.trace.records
-        slow_rows = slow.trace.records
-        assert len(fast_rows) == len(slow_rows)
-        for mine, theirs in zip(fast_rows, slow_rows):
-            for field in (
-                "seq", "pc", "op", "cls", "dst", "srcs", "addr", "taken",
-                "next_pc", "free_mask", "eliminated", "is_program",
-            ):
-                assert getattr(mine, field) == getattr(theirs, field), (
-                    f"row {mine.seq} differs in {field!r}: "
-                    f"{getattr(mine, field)!r} != {getattr(theirs, field)!r}"
-                )
+def assert_identical(fast, slow):
+    assert fast.stats == slow.stats  # the readable diff, when they differ
+    assert pickle.dumps(fast) == pickle.dumps(slow)
 
 
 class TestFuzzDifferential:
     @pytest.mark.parametrize("seed", range(8))
-    @pytest.mark.parametrize(
-        "dvi", DVI_CONFIGS, ids=lambda c: f"{c.label()}-{c.scheme.name}"
-                                          f"-d{c.lvm_stack_depth}"
-    )
-    def test_fuzz_programs_identical(self, seed, dvi):
-        program = generate_program(seed, FuzzConfig(n_procs=4))
-        if dvi.use_edvi:
-            program = insert_edvi(program).program
-        fast, slow = run_both(program, dvi, max_steps=200_000)
+    @pytest.mark.parametrize("dvi", DVI_CONFIGS, ids=_IDS)
+    @pytest.mark.parametrize("mode", MODES, ids=_MODE_IDS)
+    def test_fuzz_programs_identical(self, seed, dvi, mode):
+        program = binary(generate_program(seed, FuzzConfig(n_procs=4)), dvi)
+        fast, slow = run_both(program, dvi, max_steps=200_000, **mode)
         assert fast.stats.completed
-        assert_equivalent(fast, slow)
-
-    @pytest.mark.parametrize("seed", (100, 101))
-    def test_fuzz_without_trace(self, seed):
-        program = generate_program(seed)
-        fast, slow = run_both(
-            program, DVIConfig.full(), max_steps=200_000, collect_trace=False
-        )
-        assert fast.trace is None and slow.trace is None
-        assert_equivalent(fast, slow, compare_traces=False)
-
-    def test_live_histogram_identical(self):
-        program = generate_program(7)
-        fast, slow = run_both(
-            program,
-            DVIConfig.full(SRScheme.LVM_STACK),
-            max_steps=200_000,
-            collect_trace=False,
-            collect_live_hist=True,
-        )
-        assert fast.stats.live_hist  # non-trivial histogram
-        assert fast.stats.live_hist == slow.stats.live_hist
-        assert_equivalent(fast, slow, compare_traces=False)
+        assert bool(fast.stats.live_hist) == mode.get("collect_live_hist", False)
+        assert_identical(fast, slow)
 
 
 class TestCutDifferential:
-    """Runs cut by ``max_steps`` mid-run: the last row's successor comes
-    from ``end_pc``."""
+    """Runs cut by ``max_steps``, 0 and 1 included: the trace ends at the
+    resume pc."""
 
     @pytest.mark.parametrize("seed", range(4))
-    @pytest.mark.parametrize(
-        "dvi",
-        [DVIConfig.none(), DVIConfig.full(SRScheme.LVM_STACK)],
-        ids=("none", "lvm-stack"),
-    )
+    @pytest.mark.parametrize("dvi", DVI_CONFIGS, ids=_IDS)
     def test_cut_fuzz_programs_identical(self, seed, dvi):
-        program = generate_program(seed, FuzzConfig(n_procs=4))
-        if dvi.use_edvi:
-            program = insert_edvi(program).program
+        program = binary(generate_program(seed, FuzzConfig(n_procs=4)), dvi)
         total = FunctionalSimulator(program, dvi, max_steps=200_000).run()
         assert total.stats.completed
         rows = len(total.trace)
-        for cut in sorted(random.Random(seed).sample(range(1, rows), 6)):
-            fast, slow = run_both(program, dvi, max_steps=cut)
-            assert not fast.stats.completed
-            assert len(fast.trace) == cut
-            assert fast.trace.records[-1].next_pc == fast.trace.end_pc
-            assert_equivalent(fast, slow)
+        cuts = [0, 1, *sorted(random.Random(seed).sample(range(2, rows), 6))]
+        for cut in cuts:
+            for mode in MODES:
+                fast, slow = run_both(program, dvi, max_steps=cut, **mode)
+                assert not fast.stats.completed
+                assert_identical(fast, slow)
 
 
 class TestWorkloadDifferential:
-    """One real workload end-to-end per elimination scheme."""
+    """Every registered workload end-to-end."""
 
-    @pytest.mark.parametrize(
-        "dvi",
-        [DVIConfig.none(), DVIConfig.full(SRScheme.LVM_STACK)],
-        ids=("none", "lvm-stack"),
-    )
-    def test_li_like_identical(self, dvi):
-        program = get_program("li_like", 1)
-        if dvi.use_edvi:
-            program = insert_edvi(program).program
-        fast, slow = run_both(program, dvi)
-        assert fast.stats.completed
-        assert_equivalent(fast, slow)
-
-    def test_observable_data_segment_matches(self):
-        program = insert_edvi(get_program("perl_like", 1)).program
-        fast, slow = run_both(program, DVIConfig.full(SRScheme.LVM_STACK))
-        assert fast.data_segment(DATA_BASE, _DATA_LIMIT)
-        assert (fast.data_segment(DATA_BASE, _DATA_LIMIT)
-                == slow.data_segment(DATA_BASE, _DATA_LIMIT))
-        assert fast.stats.exit_value == slow.stats.exit_value
+    @pytest.mark.parametrize("name", sorted(REGISTRY.names()))
+    def test_registered_workloads_identical(self, name):
+        for dvi in (DVIConfig.none(), DVIConfig.full(SRScheme.LVM_STACK)):
+            fast, slow = run_both(binary(get_program(name, 1), dvi), dvi)
+            assert fast.stats.completed
+            assert_identical(fast, slow)
+        fast, slow = run_both(get_program(name, 1), DVIConfig.idvi_only(),
+                              collect_trace=False, collect_live_hist=True)
+        assert_identical(fast, slow)
 
 
 class TestResumableDifferential:
@@ -165,4 +120,4 @@ class TestResumableDifferential:
         slow = ReferenceSimulator(program, DVIConfig.full())
         while slow.execute(137):
             pass
-        assert_equivalent(fast.result(), slow.result())
+        assert_identical(fast.result(), slow.result())

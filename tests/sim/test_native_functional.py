@@ -139,7 +139,6 @@ class TestPickleIdentity:
         engine()
         program = get_program("li_like", 1)
         assert isinstance(simulator(program), NativeFunctionalSimulator)
-        assert type(simulator(program, verify_dvi=True)) is FunctionalSimulator
 
     def test_traces_own_their_static_tables(self):
         engine()

@@ -184,15 +184,6 @@ class TestMispredictColumn:
                        base.with_predictor("static-taken")):
             assert native.mispredict_column(trace, config) is not column
 
-    def test_reassigning_rows_drops_the_memo(self):
-        trace = run_program(get_program("vortex_like", 1), DVIConfig.none(),
-                            collect_trace=True).trace
-        config = MachineConfig.micro97()
-        whole = native.mispredict_column(trace, config)
-        trace.records = trace.records[:500]
-        assert trace._mispredicts is None
-        assert len(native.mispredict_column(trace, config)) == 500 < len(whole)
-
     def test_memo_is_not_pickled(self):
         trace = run_program(get_program("vortex_like", 1), DVIConfig.none(),
                             collect_trace=True).trace

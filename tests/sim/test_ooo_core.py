@@ -8,7 +8,7 @@ from repro.program.builder import ProgramBuilder
 from repro.rewrite.edvi import insert_edvi
 from repro.sim.config import MachineConfig
 from repro.sim.functional import run_program
-from repro.sim.ooo.core import simulate
+from repro.sim.ooo.core import OutOfOrderCore, simulate
 from repro.workloads.suite import get_program
 
 
@@ -73,11 +73,10 @@ class TestBasicTiming:
         assert stats.program_insts == trace.program_insts
 
     def test_invariants_hold_on_real_workload(self):
-        trace = run_program(get_program("vortex_like")).trace
         # truncated replay keeps this test fast
-        trace.records = trace.records[:4000]
-        stats = simulate(
-            MachineConfig.micro97(), trace, check_invariants=True
+        trace = run_program(get_program("vortex_like"), max_steps=4000).trace
+        stats = OutOfOrderCore(MachineConfig.micro97(), trace).run(
+            check_invariants=True
         )
         assert stats.cycles > 0
 
@@ -202,8 +201,7 @@ class TestBranchAndMemoryEffects:
         assert small.cycles > big.cycles
 
     def test_fewer_ports_never_faster(self):
-        trace = run_program(get_program("ijpeg_like")).trace
-        trace.records = trace.records[:6000]
+        trace = run_program(get_program("ijpeg_like"), max_steps=6000).trace
         one = simulate(replace(MachineConfig.micro97(), cache_ports=1), trace)
         three = simulate(replace(MachineConfig.micro97(), cache_ports=3), trace)
         assert one.cycles >= three.cycles

@@ -1,5 +1,7 @@
 """Tests for the trace container, machine config, and opcode tables."""
 
+from array import array
+
 import pytest
 
 from repro.dvi.config import DVIConfig
@@ -14,7 +16,7 @@ from repro.isa.registers import T0, V0
 from repro.program.builder import ProgramBuilder
 from repro.sim.config import MIN_PHYS_REGS, MachineConfig
 from repro.sim.functional import run_program
-from repro.sim.trace import Trace, TraceRecord
+from repro.sim.trace import FLAG_FREES, FLAG_PROGRAM, Trace, TraceRecord
 
 
 class TestOpcodeTables:
@@ -58,13 +60,13 @@ class TestTraceRecord:
         assert "elim" in repr(self.make(eliminated=True))
 
     def test_trace_counts(self):
-        records = [
-            self.make(seq=0),
-            self.make(seq=1, op=Opcode.KILL, cls=OpClass.NOP,
-                      is_program=False, free_mask=1 << 16),
-            self.make(seq=2),
-        ]
-        trace = Trace("t", DVIConfig.none(), records)
+        # A kill (not a program instruction, freeing a register) between
+        # two program instructions.
+        trace = Trace(
+            "t", DVIConfig.none(),
+            pcs=array("i", [0, 1, 2]),
+            flags=array("B", [FLAG_PROGRAM, FLAG_FREES, FLAG_PROGRAM]),
+        )
         assert trace.program_insts == 2
         assert trace.annotation_insts == 1
         assert len(trace) == 3

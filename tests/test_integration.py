@@ -17,6 +17,7 @@ from repro import (
     verify_dvi,
 )
 from repro.dvi.config import SRScheme
+from repro.sim.ooo.core import OutOfOrderCore
 from repro.workloads.suite import SAVE_RESTORE_ORDER, get_program
 
 
@@ -103,10 +104,9 @@ class TestCorrectnessEndToEnd:
     def test_timing_model_invariants_on_full_workload(self, suite):
         plain, rewritten = suite["vortex_like"]
         trace = run_program(rewritten, DVIConfig.full(SRScheme.LVM_STACK)).trace
-        stats = simulate(
-            MachineConfig.micro97().with_phys_regs(40), trace,
-            check_invariants=True,
-        )
+        stats = OutOfOrderCore(
+            MachineConfig.micro97().with_phys_regs(40), trace
+        ).run(check_invariants=True)
         assert stats.dvi_unmaps > 0
 
     def test_public_api_surface(self):

@@ -13,7 +13,7 @@ from repro.rewrite.edvi import insert_edvi, strip_edvi
 from repro.rewrite.verify import check_equivalence, verify_dvi
 from repro.sim.config import MachineConfig
 from repro.sim.functional import run_program
-from repro.sim.ooo.core import simulate
+from repro.sim.ooo.core import OutOfOrderCore
 from repro.threads.scheduler import RoundRobinScheduler
 from repro.workloads.fuzz import FuzzConfig, generate_program
 
@@ -62,10 +62,9 @@ def test_timing_invariants_on_generated_programs(seed):
     trace = run_program(
         program, DVIConfig.full(SRScheme.LVM_STACK), max_steps=200_000
     ).trace
-    stats = simulate(
-        MachineConfig.micro97().with_phys_regs(36), trace,
-        check_invariants=True,
-    )
+    stats = OutOfOrderCore(
+        MachineConfig.micro97().with_phys_regs(36), trace
+    ).run(check_invariants=True)
     assert stats.committed > 0
 
 
