@@ -13,11 +13,10 @@ trajectory of the simulator is tracked in-tree, PR over PR:
   engine alone (``FunctionalSimulator``, the native engine's oracle),
   with ``engine_over_oracle``, the throughput ratio;
 * **timing** — simulated instructions per second of the out-of-order
-  core replaying a trace on the Figure 2 machine, through ``simulate``
-  (the native timing kernel wherever it loads), with the trace's
-  mispredict column already computed, as every cell after the first
-  on a trace finds it; ``mispredict_column_seconds`` is one column's
-  cost;
+  core replaying a trace on the Figure 2 machine: one whole
+  ``simulate`` call (the native timing kernel wherever it loads) on a
+  freshly unpickled trace, as a cell that loads its trace from the
+  artifact cache finds it;
 * **timing_oracle** — the same for the Python core alone
   (``OutOfOrderCore.run``, the kernel's oracle), with
   ``kernel_over_oracle``, the throughput ratio;
@@ -36,8 +35,8 @@ Usage::
 ``--baseline`` merges a previous output (e.g. one produced by running
 this same script on the pre-optimization tree) into the report and
 computes speedups; the committed ``BENCH_simcore.json`` records the
-before/after of the columnar-trace + specialized-dispatch rewrite, both
-sides measured on the same machine.
+latest engine change's before and after, both sides measured on the
+same machine.
 
 The harness is intentionally import-light and API-stable (it only uses
 ``run_program``, ``FunctionalSimulator``, ``simulate``, and the CLI) so
@@ -50,6 +49,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pickle
 import platform
 import shutil
 import subprocess
@@ -68,12 +68,6 @@ from repro.sim.config import MachineConfig  # noqa: E402
 from repro.sim.functional import FunctionalSimulator, run_program  # noqa: E402
 from repro.sim.ooo.core import OutOfOrderCore, simulate  # noqa: E402
 from repro.workloads.suite import get_program  # noqa: E402
-
-try:  # the native kernel landed after the Python core; keep this
-    # harness droppable onto older trees (its column cost is skipped).
-    from repro.sim.ooo.native import mispredict_column  # noqa: E402
-except ImportError:  # pragma: no cover - baseline revisions only
-    mispredict_column = None
 
 
 #: Workload used for the hot-loop measurements (procedure-heavy, mixed
@@ -113,15 +107,22 @@ def bench_functional(*, collect_trace: bool, engine=run_program) -> dict:
 
 
 def bench_timing(engine) -> dict:
-    """Timing inst/s of ``engine(config, trace)`` on the Figure 2 machine."""
+    """Timing inst/s of ``engine(config, trace)`` on the Figure 2 machine.
+
+    Every run gets its own unpickled copy of the trace, so nothing one
+    run derives from the trace is left for the next.
+    """
     program = get_program(HOT_WORKLOAD, 1)
-    trace = run_program(program, DVIConfig.none(), collect_trace=True).trace
+    payload = pickle.dumps(
+        run_program(program, DVIConfig.none(), collect_trace=True).trace
+    )
     config = MachineConfig.micro97()
     committed = 0
-    engine(config, trace)  # builds or loads the kernel, fills the memo
+    engine(config, pickle.loads(payload))  # builds or loads the kernel
 
     def measure() -> float:
         nonlocal committed
+        trace = pickle.loads(payload)
         started = time.perf_counter()
         stats = engine(config, trace)
         elapsed = time.perf_counter() - started
@@ -134,21 +135,6 @@ def bench_timing(engine) -> dict:
         "seconds": round(elapsed, 4),
         "insts_per_sec": round(committed / elapsed),
     }
-
-
-def bench_mispredict_column() -> float:
-    """Seconds to compute one trace's mispredict column."""
-    program = get_program(HOT_WORKLOAD, 1)
-    trace = run_program(program, DVIConfig.none(), collect_trace=True).trace
-    config = MachineConfig.micro97()
-
-    def measure() -> float:
-        trace._mispredicts = None
-        started = time.perf_counter()
-        mispredict_column(trace, config)
-        return time.perf_counter() - started
-
-    return round(_best(measure), 4)
 
 
 def bench_run_all(profile: str) -> dict:
@@ -253,10 +239,6 @@ def main(argv=None) -> int:
         metrics["timing"]["insts_per_sec"]
         / metrics["timing_oracle"]["insts_per_sec"], 1
     )
-    if mispredict_column is not None:
-        metrics["timing"]["mispredict_column_seconds"] = (
-            bench_mispredict_column()
-        )
     if not args.skip_run_all:
         print(f"benchmarking run-all ({args.profile}, cold+warm)...", flush=True)
         metrics["run_all"] = bench_run_all(args.profile)

@@ -54,9 +54,9 @@ DESIGN_REQUIRED = (
     # The one table of artifact kinds and its one resolve path.
     "artifact-kind table",
     "resolve path",
-    # The C timing kernel and the column that keeps prediction in Python.
+    # The C timing kernel and its ports of the registered predictors.
     "native timing kernel",
-    "mispredict column",
+    "predictor port",
     # The C functional engine + the one persistent worker pool.
     "native functional engine",
     "resumable",

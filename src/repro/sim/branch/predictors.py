@@ -16,6 +16,12 @@ Beyond the Figure 2 trio (``bimodal``, ``gshare``, ``comb``) the registry
 carries a per-branch two-level ``local`` predictor and a stateless
 ``static-taken`` baseline.
 
+These classes are the Python core's, the oracle of the native timing
+kernel, which runs its own C port of each registered predictor
+(``sim/ooo/kernel.c``, listed in
+:data:`repro.sim.ooo.native.PREDICTOR_KINDS`).  A predictor registered
+here without a port runs every cell on the Python core.
+
 All tables hold 2-bit saturating counters (0-3; >=2 predicts taken).
 """
 

@@ -82,12 +82,20 @@ class MachineConfig:
             )
         for name in ("fetch_width", "decode_width", "issue_width",
                      "commit_width", "window_size", "fetch_queue",
-                     "int_alus", "int_muldiv", "cache_ports"):
+                     "int_alus", "int_muldiv", "cache_ports",
+                     "history_bits", "local_history_bits", "btb_assoc",
+                     "ras_depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
         # Resolve the spec names now so a typo fails at configuration
-        # time (with the registry's valid-name list), not mid-simulation.
+        # time (with the registry's valid-name list), not mid-simulation;
+        # likewise the predictor tables, which index by masking.
         PREDICTORS.get(self.predictor_spec)
+        for name in ("bimodal_entries", "gshare_entries", "chooser_entries",
+                     "local_entries", "btb_sets"):
+            size = getattr(self, name)
+            if size <= 0 or size & (size - 1):
+                raise ValueError(f"{name} must be a power of two, got {size}")
         HIERARCHIES.get(self.hierarchy_spec)
 
     @classmethod

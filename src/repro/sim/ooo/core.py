@@ -544,8 +544,8 @@ class OutOfOrderCore:
                             span = room
                         fetch_pos += span
                         continue
-                    # Control transfer: train the predictors (inline of
-                    # _predict).
+                    # Control transfer: predict it and train the
+                    # predictors (kernel.c's mispredicted() ports this).
                     row = fetch_pos
                     fetch_pos += 1
                     control_insts += 1

@@ -10,11 +10,13 @@
  *
  * Differences in shape, none in behaviour:
  *
- * - Branch prediction is not simulated here.  Predictor, BTB and RAS
- *   state advance only at fetch, in trace order, and each control row is
- *   predicted exactly once, so the caller passes the outcome as a
- *   per-row mispredict column (native.py computes it with the Python
- *   predictors).
+ * - Fetch predicts each control row with C ports of the registered
+ *   predictors (one PK_* kind each; native.py's PREDICTOR_KINDS names
+ *   them), the BTB and the RAS.  Their 2-bit counters are stored xor 1,
+ *   so calloc's zeroes read as the initial value 1 and a large table
+ *   faults in only the pages a run touches.  The BTB and RAS are capped
+ *   at what the trace can fill: a BTB set never holds more pcs than map
+ *   to it, and the RAS never holds more returns than the trace has rows.
  * - Each cache set is an array of ways ordered oldest first, the order
  *   of the Python set dicts; a hit moves its way to the end.
  * - The window is a ring, and un-issued entries are slot numbers in an
@@ -40,6 +42,23 @@ enum {
     CLS_JUMP, CLS_NOP, CLS_SYSCALL, N_CLASSES
 };
 
+/* repro.isa.opcodes.Opcode codes. */
+enum {
+    OP_ADD, OP_SUB, OP_MUL, OP_DIV, OP_REM, OP_AND, OP_OR, OP_XOR, OP_NOR,
+    OP_SLL, OP_SRL, OP_SRA, OP_SLT, OP_SLTU,
+    OP_ADDI, OP_ANDI, OP_ORI, OP_XORI, OP_SLLI, OP_SRLI, OP_SRAI, OP_SLTI,
+    OP_LUI,
+    OP_LW, OP_SW, OP_LB, OP_SB,
+    OP_BEQ, OP_BNE, OP_BLT, OP_BGE, OP_BLEZ, OP_BGTZ,
+    OP_J, OP_JAL, OP_JR, OP_JALR,
+    OP_NOP, OP_HALT,
+    OP_KILL, OP_LIVE_SW, OP_LIVE_LW, OP_LVM_SAVE, OP_LVM_LOAD,
+    N_OPCODES
+};
+
+/* The predictors ported here; native.py's PREDICTOR_KINDS declares them. */
+enum { PK_COMB, PK_BIMODAL, PK_GSHARE, PK_LOCAL, PK_STATIC_TAKEN, N_KINDS };
+
 /* repro.sim.trace flag bits. */
 #define F_TAKEN 1
 #define F_ELIMINATED 2
@@ -58,6 +77,9 @@ enum {
     P_L1_LATENCY, P_L2_LATENCY, P_MEMORY_LATENCY, P_LINE_SHIFT,
     P_L1I_SETS, P_L1I_ASSOC, P_L1D_SETS, P_L1D_ASSOC,
     P_L2_SETS, P_L2_ASSOC,
+    P_PREDICTOR_KIND, P_BIMODAL_ENTRIES, P_GSHARE_ENTRIES,
+    P_CHOOSER_ENTRIES, P_HISTORY_BITS, P_LOCAL_ENTRIES,
+    P_LOCAL_HISTORY_BITS, P_BTB_SETS, P_BTB_ASSOC, P_RAS_DEPTH,
     /* One latency per op class, in CLS_* order. */
     P_LATENCY_IALU, P_LATENCY_IMUL, P_LATENCY_IDIV, P_LATENCY_LOAD,
     P_LATENCY_STORE, P_LATENCY_BRANCH, P_LATENCY_JUMP, P_LATENCY_NOP,
@@ -87,7 +109,8 @@ typedef struct {
     int64_t accesses, misses, writebacks;
 } cache_t;
 
-/* A FIFO of physical registers: the free list, or the pending frees. */
+/* A ring of int32s: the free list and the pending frees (FIFOs of
+ * physical registers), or the RAS. */
 typedef struct {
     int32_t *slot;
     int64_t head, len, capacity;
@@ -196,6 +219,246 @@ static int power_of_two(int64_t n)
     return n > 0 && (n & (n - 1)) == 0;
 }
 
+/* ---- branch prediction (repro.sim.branch) ------------------------------ */
+
+/* A SaturatingCounterTable; each counter is stored xor 1, which keeps
+ * bit 1, the taken bit. */
+typedef struct {
+    uint8_t *counter;
+    uint64_t mask;
+} counters_t;
+
+/* The fetch stage's predictors: one direction predictor, the BTB and
+ * the RAS. */
+typedef struct {
+    int64_t kind;
+    counters_t bimodal, gshare, chooser, pattern;
+    uint64_t history, history_mask;  /* gshare's global history */
+    uint64_t *local, local_mask;     /* local's per-branch histories */
+    int64_t *btb_tags, *btb_targets; /* sets x assoc, each set oldest first */
+    int64_t *btb_fill;               /* valid ways per set */
+    int64_t btb_set_mask, btb_assoc;
+    ring_t ras;                      /* oldest at the head */
+} predictors_t;
+
+static int counters_init(counters_t *table, int64_t size)
+{
+    table->counter = calloc((size_t)size, 1);
+    table->mask = (uint64_t)size - 1;
+    return table->counter != NULL;
+}
+
+static int counter_taken(const counters_t *table, uint64_t index)
+{
+    return table->counter[index & table->mask] >= 2;
+}
+
+static void counter_train(counters_t *table, uint64_t index, int taken)
+{
+    uint8_t *stored = &table->counter[index & table->mask];
+    int value = *stored ^ 1;
+    if (taken) {
+        if (value < 3)
+            value++;
+    } else if (value > 0) {
+        value--;
+    }
+    *stored = (uint8_t)(value ^ 1);
+}
+
+/* Allocate the tables params' predictor kind reads (all zero: every
+ * counter 1, every history empty); ST_BAD_PARAMS for a geometry it
+ * cannot index. */
+static int predictors_init(predictors_t *bp, const int64_t *params,
+                           int64_t n_static, int64_t total)
+{
+    int64_t kind = params[P_PREDICTOR_KIND];
+    int64_t history_bits = params[P_HISTORY_BITS];
+    int64_t local_bits = params[P_LOCAL_HISTORY_BITS];
+    int64_t sets = params[P_BTB_SETS], assoc = params[P_BTB_ASSOC];
+    int64_t depth = params[P_RAS_DEPTH], per_set;
+    int comb = kind == PK_COMB, ok = 1;
+
+    bp->kind = kind;
+    if (kind < 0 || kind >= N_KINDS || !power_of_two(sets) || assoc < 1
+            || depth < 1
+            || ((comb || kind == PK_BIMODAL)
+                && !power_of_two(params[P_BIMODAL_ENTRIES]))
+            || ((comb || kind == PK_GSHARE)
+                && (!power_of_two(params[P_GSHARE_ENTRIES])
+                    || history_bits < 1))
+            || (comb && !power_of_two(params[P_CHOOSER_ENTRIES]))
+            || (kind == PK_LOCAL
+                && (!power_of_two(params[P_LOCAL_ENTRIES])
+                    || local_bits < 1 || local_bits > 62)))
+        return ST_BAD_PARAMS;
+    if (comb || kind == PK_BIMODAL)
+        ok &= counters_init(&bp->bimodal, params[P_BIMODAL_ENTRIES]);
+    if (comb || kind == PK_GSHARE) {
+        ok &= counters_init(&bp->gshare, params[P_GSHARE_ENTRIES]);
+        bp->history_mask = history_bits >= 64
+            ? UINT64_MAX : ((uint64_t)1 << history_bits) - 1;
+    }
+    if (comb)
+        ok &= counters_init(&bp->chooser, params[P_CHOOSER_ENTRIES]);
+    if (kind == PK_LOCAL) {
+        bp->local = calloc((size_t)params[P_LOCAL_ENTRIES],
+                           sizeof *bp->local);
+        bp->local_mask = (uint64_t)params[P_LOCAL_ENTRIES] - 1;
+        ok &= bp->local != NULL
+            && counters_init(&bp->pattern, (int64_t)1 << local_bits);
+    }
+    /* The trace's pcs are below n_static: past the first power of two
+     * above it, more sets only add empty ones, and a set never holds
+     * more pcs than map to it.  The RAS never holds more entries than
+     * the trace has rows. */
+    while (sets > 1 && sets / 2 >= n_static)
+        sets /= 2;
+    per_set = (n_static + sets - 1) / sets;
+    if (assoc > per_set)
+        assoc = per_set > 1 ? per_set : 1;
+    if (depth > total)
+        depth = total > 1 ? total : 1;
+    bp->btb_set_mask = sets - 1;
+    bp->btb_assoc = assoc;
+    bp->btb_tags = malloc((size_t)(sets * assoc) * sizeof *bp->btb_tags);
+    bp->btb_targets = malloc((size_t)(sets * assoc)
+                             * sizeof *bp->btb_targets);
+    bp->btb_fill = calloc((size_t)sets, sizeof *bp->btb_fill);
+    bp->ras.slot = malloc((size_t)depth * sizeof *bp->ras.slot);
+    bp->ras.capacity = depth;
+    return ok && bp->btb_tags && bp->btb_targets && bp->btb_fill
+        && bp->ras.slot ? ST_OK : ST_NO_MEMORY;
+}
+
+static void predictors_free(predictors_t *bp)
+{
+    free(bp->bimodal.counter);
+    free(bp->gshare.counter);
+    free(bp->chooser.counter);
+    free(bp->pattern.counter);
+    free(bp->local);
+    free(bp->btb_tags);
+    free(bp->btb_targets);
+    free(bp->btb_fill);
+    free(bp->ras.slot);
+}
+
+/* predict_and_update: 1 if the direction predictor guessed `taken` for
+ * the branch at `pc`; it trains on `taken` either way. */
+static int direction_correct(predictors_t *bp, uint64_t pc, int taken)
+{
+    int guess, bimodal, gshare;
+    uint64_t *local;
+    switch (bp->kind) {
+    case PK_COMB:
+        bimodal = counter_taken(&bp->bimodal, pc);
+        gshare = counter_taken(&bp->gshare, pc ^ bp->history);
+        guess = counter_taken(&bp->chooser, pc) ? gshare : bimodal;
+        if (bimodal != gshare)
+            counter_train(&bp->chooser, pc, gshare == taken);
+        counter_train(&bp->bimodal, pc, taken);
+        counter_train(&bp->gshare, pc ^ bp->history, taken);
+        bp->history = (bp->history << 1 | (uint64_t)taken)
+            & bp->history_mask;
+        break;
+    case PK_BIMODAL:
+        guess = counter_taken(&bp->bimodal, pc);
+        counter_train(&bp->bimodal, pc, taken);
+        break;
+    case PK_GSHARE:
+        guess = counter_taken(&bp->gshare, pc ^ bp->history);
+        counter_train(&bp->gshare, pc ^ bp->history, taken);
+        bp->history = (bp->history << 1 | (uint64_t)taken)
+            & bp->history_mask;
+        break;
+    case PK_LOCAL:
+        local = &bp->local[pc & bp->local_mask];
+        guess = counter_taken(&bp->pattern, *local);
+        counter_train(&bp->pattern, *local, taken);
+        *local = (*local << 1 | (uint64_t)taken) & bp->pattern.mask;
+        break;
+    default:  /* PK_STATIC_TAKEN */
+        guess = 1;
+    }
+    return guess == taken;
+}
+
+/* BranchTargetBuffer.lookup then .insert: 1 if the buffer held `target`
+ * for `pc`; `pc` then maps to `target`, newest in its set. */
+static int btb_update(predictors_t *bp, int64_t pc, int64_t target)
+{
+    int64_t set = pc & bp->btb_set_mask;
+    int64_t *tags = bp->btb_tags + set * bp->btb_assoc;
+    int64_t *targets = bp->btb_targets + set * bp->btb_assoc;
+    int64_t n = bp->btb_fill[set], way;
+    int hit;
+
+    for (way = 0; way < n && tags[way] != pc; way++)
+        ;
+    hit = way < n && targets[way] == target;
+    if (way == n) {
+        if (n < bp->btb_assoc)
+            bp->btb_fill[set] = ++n;
+        else
+            way = 0;  /* a full set drops its oldest way */
+    }
+    for (; way < n - 1; way++) {
+        tags[way] = tags[way + 1];
+        targets[way] = targets[way + 1];
+    }
+    tags[n - 1] = pc;
+    targets[n - 1] = target;
+    return hit;
+}
+
+/* ReturnAddressStack.push: a full stack drops its oldest entry. */
+static void ras_push(ring_t *ras, int32_t return_pc)
+{
+    if (ras->len == ras->capacity)
+        ring_pop(ras);
+    ring_push(ras, return_pc);
+}
+
+/* ReturnAddressStack.pop: 1 if the newest entry is `target`; an empty
+ * stack predicts nothing. */
+static int ras_pop_matches(ring_t *ras, int64_t target)
+{
+    int64_t at;
+    if (!ras->len)
+        return 0;
+    at = ras->head + --ras->len;
+    if (at >= ras->capacity)
+        at -= ras->capacity;
+    return ras->slot[at] == target;
+}
+
+/* The fetch stage's prediction for the control row at `pc`, whose
+ * successor is `next_pc`: 1 on a mispredict. */
+static int mispredicted(predictors_t *bp, int cls, int op, int32_t pc,
+                        int taken, int64_t next_pc)
+{
+    int miss;
+    if (cls == CLS_BRANCH) {
+        miss = !direction_correct(bp, (uint64_t)pc, taken);
+        if (taken && !btb_update(bp, pc, next_pc))
+            miss = 1;
+        return miss;
+    }
+    switch (op) {
+    case OP_J:
+        return 0;
+    case OP_JAL:
+        ras_push(&bp->ras, pc + 1);
+        return 0;
+    case OP_JALR:
+        ras_push(&bp->ras, pc + 1);
+        return !btb_update(bp, pc, next_pc);
+    default:  /* jr: predict through the return stack */
+        return !ras_pop_matches(&bp->ras, next_pc);
+    }
+}
+
 /* The row number of the first row using an out-of-range index, or -1. */
 static int64_t first_bad_row(
     const int32_t *pcs, const int64_t *free_masks, const uint8_t *flags,
@@ -235,9 +498,10 @@ static int64_t first_bad_row(
 int repro_ooo_run(
     const int64_t *params, int64_t n_params,
     const int32_t *pcs, const int64_t *addrs, const int64_t *free_masks,
-    const uint8_t *flags, const uint8_t *mispredicted, int64_t total,
-    const int8_t *s_cls, const int8_t *s_dst, const int16_t *s_srcs,
-    int64_t n_static, int64_t *results, int64_t n_results)
+    const uint8_t *flags, int64_t total, int64_t end_pc,
+    const int8_t *s_op, const int8_t *s_cls, const int8_t *s_dst,
+    const int16_t *s_srcs, int64_t n_static,
+    int64_t *results, int64_t n_results)
 {
     int64_t fetch_width, decode_width, issue_width, commit_width;
     int64_t window_size, fetch_capacity, total_alus, total_muldivs;
@@ -251,6 +515,7 @@ int repro_ooo_run(
     int64_t *ready = NULL, *ports = NULL;
     entry_t *window = NULL;
     cache_t l1i = {0}, l1d = {0}, l2 = {0};
+    predictors_t bp = {0};
     int32_t arch_map[NUM_REGS];
     int status = ST_NO_MEMORY;
 
@@ -263,6 +528,7 @@ int repro_ooo_run(
     int64_t unmapped_reads = 0, dvi_unmaps = 0, min_free;
     int64_t program_insts = 0, row, bad_row;
     int64_t i, pc;
+    int taken;
 
     if (n_params != N_PARAMS || n_results != N_RESULTS)
         return ST_BAD_PARAMS;
@@ -291,15 +557,21 @@ int repro_ooo_run(
             || !power_of_two(params[P_L1D_SETS])
             || !power_of_two(params[P_L2_SETS])
             || params[P_L1I_ASSOC] < 1 || params[P_L1D_ASSOC] < 1
-            || params[P_L2_ASSOC] < 1 || n_static < 0 || total < 0)
+            || params[P_L2_ASSOC] < 1 || n_static < 0
+            || n_static > INT32_MAX || total < 0)
         return ST_BAD_PARAMS;
 
+    status = predictors_init(&bp, params, n_static, total);
+    if (status != ST_OK)
+        goto done;
     bad_row = first_bad_row(pcs, free_masks, flags, total,
                             s_cls, s_dst, s_srcs, n_static);
     if (bad_row >= 0) {
         results[0] = bad_row;
-        return ST_BAD_TRACE;
+        status = ST_BAD_TRACE;
+        goto done;
     }
+    status = ST_NO_MEMORY;
     for (row = 0; row < total; row++)
         program_insts += (flags[row] & F_PROGRAM) != 0;
 
@@ -566,15 +838,18 @@ int repro_ooo_run(
                     fetch_pos += span;
                     continue;
                 }
-                /* A control transfer. */
+                /* A control transfer: predict it. */
                 row = fetch_pos++;
                 control_insts++;
-                if (mispredicted[row]) {
+                taken = flags[row] & F_TAKEN;
+                if (mispredicted(&bp, s_cls[fpc], s_op[fpc], (int32_t)fpc,
+                                 taken,
+                                 fetch_pos < total ? pcs[fetch_pos] : end_pc)) {
                     mispredicts++;
                     unresolved = row;
                     break;
                 }
-                if (flags[row] & F_TAKEN)
+                if (taken)
                     break;
             }
             if (fetch_pos != fetch_start)
@@ -662,5 +937,6 @@ done:
     cache_free(&l1i);
     cache_free(&l1d);
     cache_free(&l2);
+    predictors_free(&bp);
     return status;
 }

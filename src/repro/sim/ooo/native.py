@@ -4,17 +4,15 @@
 :meth:`~repro.sim.ooo.core.OutOfOrderCore.run`, and returns the same
 :class:`~repro.sim.ooo.stats.PipelineStats`, field for field.  The
 Python core stays the oracle: :func:`repro.sim.ooo.core.simulate` falls
-back to it whenever the kernel did not load, and the golden grid and
-differential tests hold the two to identical results.
+back to it whenever :func:`simulate` returns ``None``, and the golden
+grid and differential tests hold the two to identical results.
 
-Branch prediction stays in Python.  Predictor, BTB and RAS state
-advance only at fetch, in trace order, and fetch predicts every control
-row exactly once (an I-cache miss stops fetch *before* the row is
-consumed, and the refetch finds ``last_line`` already matching, so it
-does not probe again).  The outcome is therefore a pure function of the
-trace and the predictor configuration: :func:`mispredict_column`
-computes it once per trace and predictor configuration, memoized on the
-trace, and every regfile, window, port and I-cache cell shares it.
+The kernel predicts branches itself, at fetch, as the Python core
+does: it ports every predictor named in :data:`PREDICTOR_KINDS`, the
+BTB and the RAS, and allocates their state anew in every call.  A
+registered predictor missing from that table has no port, so
+:func:`simulate` returns ``None`` for it and the caller runs the
+Python core.
 
 The kernel is built and loaded by :class:`repro.sim.loader.KernelLoader`
 (shared with the functional engine): compiled with the system ``cc``
@@ -26,29 +24,26 @@ them.
 The parameter and result vectors are declared once, here
 (:data:`PARAMS`, :data:`RESULTS`, :data:`STATUSES`); ``kernel.c`` names
 each entry the same, upper-cased behind its prefix, and a test holds
-the two to the same names in the same order.
+the two to the same names in the same order, as it holds the kernel's
+``PK_*`` predictor kinds to :data:`PREDICTOR_KINDS` and its ``OP_*``
+codes to :class:`~repro.isa.opcodes.Opcode`.
 """
 
 from __future__ import annotations
 
-from array import array
-from dataclasses import fields
-from itertools import compress
 from pathlib import Path
 from typing import Any, Optional
 
 from repro.errors import SimulationError
-from repro.isa.opcodes import OpClass, Opcode
-from repro.sim.branch.btb import BranchTargetBuffer, ReturnAddressStack
-from repro.sim.branch.predictors import build_predictor
+from repro.isa.opcodes import OpClass
 from repro.sim.cache.cache import CacheGeometry
 from repro.sim.config import MachineConfig
 from repro.sim.loader import KernelLoader
 from repro.sim.ooo.stats import PipelineStats
-from repro.sim.trace import COLUMNS, FLAG_TAKEN, Trace
+from repro.sim.trace import COLUMNS, Trace
 
 __all__ = [
-    "KERNEL", "PARAMS", "RESULTS", "STATUSES", "mispredict_column",
+    "KERNEL", "PARAMS", "PREDICTOR_KINDS", "RESULTS", "STATUSES",
     "run_kernel", "simulate",
 ]
 
@@ -66,6 +61,11 @@ def _geometry(config: MachineConfig, level: str) -> CacheGeometry:
 
 def _latency(cls: OpClass) -> tuple:
     return f"latency_{cls.name.lower()}", lambda config: config.latencies[cls]
+
+
+#: The registered predictors ``kernel.c`` ports, in ``PK_*`` order
+#: (each name upper-cased, ``-`` as ``_``).
+PREDICTOR_KINDS = ("comb", "bimodal", "gshare", "local", "static-taken")
 
 
 #: The parameter vector (``P_*``): its fields and how to read each off
@@ -93,6 +93,17 @@ PARAMS = (
     ("l1d_assoc", lambda config: _geometry(config, "l1d").assoc),
     ("l2_sets", lambda config: _geometry(config, "l2").num_sets),
     ("l2_assoc", lambda config: _geometry(config, "l2").assoc),
+    ("predictor_kind",
+     lambda config: PREDICTOR_KINDS.index(config.predictor_spec)),
+    ("bimodal_entries", lambda config: config.bimodal_entries),
+    ("gshare_entries", lambda config: config.gshare_entries),
+    ("chooser_entries", lambda config: config.chooser_entries),
+    ("history_bits", lambda config: config.history_bits),
+    ("local_entries", lambda config: config.local_entries),
+    ("local_history_bits", lambda config: config.local_history_bits),
+    ("btb_sets", lambda config: config.btb_sets),
+    ("btb_assoc", lambda config: config.btb_assoc),
+    ("ras_depth", lambda config: config.ras_depth),
     # One latency per op class, in OpClass order.
     *map(_latency, OpClass),
 )
@@ -113,94 +124,10 @@ _STATS_FIELDS = RESULTS[:-4]
 STATUSES = ("ok", "bad_trace", "no_memory", "bad_params")
 
 #: The trace columns ``kernel.c`` reads, in its argument order: the
-#: dynamic ones (the mispredict column follows them), then the static.
+#: dynamic ones (``end_pc`` follows them), then the static.
 _KERNEL_DYNAMIC = ("pcs", "addrs", "free_masks", "flags")
-_KERNEL_STATIC = ("s_cls", "s_dst", "s_srcs")
+_KERNEL_STATIC = ("s_op", "s_cls", "s_dst", "s_srcs")
 _TYPECODES = dict(COLUMNS)
-
-#: MachineConfig fields the predictor, BTB and RAS never read.  Every
-#: other field keys the mispredict column, so a field added later can
-#: only split the memo, never hand back a stale column.
-_TIMING_ONLY = frozenset({
-    "fetch_width", "decode_width", "issue_width", "commit_width",
-    "window_size", "fetch_queue", "int_alus", "int_muldiv", "cache_ports",
-    "phys_regs", "mispredict_penalty", "hierarchy", "latencies",
-    "hierarchy_spec",
-})
-
-_BRANCH = int(OpClass.BRANCH)
-_JUMP = int(OpClass.JUMP)
-_OP_J = int(Opcode.J)
-_OP_JAL = int(Opcode.JAL)
-_OP_JALR = int(Opcode.JALR)
-
-
-# ----------------------------------------------------------------------
-# The mispredict column.
-# ----------------------------------------------------------------------
-
-def mispredict_column(trace: Trace, config: MachineConfig) -> array:
-    """Per-row 1/0: fetch mispredicts this control row (``array('B')``).
-
-    Memoized on ``trace`` under every MachineConfig field the timing
-    stages alone read left out, so configurations that differ only in
-    those share one column object.
-    """
-    key = tuple(
-        getattr(config, field.name) for field in fields(config)
-        if field.name not in _TIMING_ONLY
-    )
-    memo = trace._mispredicts
-    if memo is None:
-        memo = trace._mispredicts = {}
-    column = memo.get(key)
-    if column is None:
-        column = memo[key] = _predict(trace, config)
-    return column
-
-
-def _predict(trace: Trace, config: MachineConfig) -> array:
-    """The fetch stage's prediction logic over the control rows, in order."""
-    pcs, s_cls, s_op = trace.pcs, trace.s_cls, trace.s_op
-    if pcs and (min(pcs) < 0 or max(pcs) >= len(s_cls)):
-        raise SimulationError(
-            f"trace {trace.program_name!r} has a pc outside its "
-            f"{len(s_cls)}-entry static table"
-        )
-    predict_and_update = build_predictor(config).predict_and_update
-    btb = BranchTargetBuffer(config.btb_sets, config.btb_assoc)
-    ras = ReturnAddressStack(config.ras_depth)
-    btb_lookup, btb_insert = btb.lookup, btb.insert
-    flags, end_pc, last = trace.flags, trace.end_pc, len(pcs) - 1
-    is_control = [code == _BRANCH or code == _JUMP for code in s_cls]
-    column = array("B", bytes(len(pcs)))
-    for row in compress(range(len(pcs)), map(is_control.__getitem__, pcs)):
-        pc = pcs[row]
-        taken = flags[row] & FLAG_TAKEN
-        next_pc = pcs[row + 1] if row < last else end_pc
-        if s_cls[pc] == _BRANCH:
-            mispredicted = not predict_and_update(pc, taken)
-            if taken:
-                if not mispredicted and btb_lookup(pc) != next_pc:
-                    mispredicted = True
-                btb_insert(pc, next_pc)
-        else:
-            op = s_op[pc]
-            if op == _OP_J:
-                mispredicted = False
-            elif op == _OP_JAL:
-                ras.push(pc + 1)
-                mispredicted = False
-            elif op == _OP_JALR:
-                ras.push(pc + 1)
-                mispredicted = btb_lookup(pc) != next_pc
-                btb_insert(pc, next_pc)
-            else:
-                # jr: predict through the return stack.
-                mispredicted = ras.pop() != next_pc
-        if mispredicted:
-            column[row] = 1
-    return column
 
 
 # ----------------------------------------------------------------------
@@ -214,8 +141,8 @@ _SIZE = "int64"
 KERNEL = KernelLoader(SOURCE, "ooo-kernel", "the native timing kernel", {
     "repro_ooo_run": ("int", [
         _POINTER, _SIZE,
-        _POINTER, _POINTER, _POINTER, _POINTER, _POINTER, _SIZE,
-        _POINTER, _POINTER, _POINTER, _SIZE,
+        _POINTER, _POINTER, _POINTER, _POINTER, _SIZE, _SIZE,
+        _POINTER, _POINTER, _POINTER, _POINTER, _SIZE,
         _POINTER, _SIZE,
     ]),
 })
@@ -225,9 +152,7 @@ KERNEL = KernelLoader(SOURCE, "ooo-kernel", "the native timing kernel", {
 # Running it.
 # ----------------------------------------------------------------------
 
-def run_kernel(
-    library: Any, config: MachineConfig, trace: Trace, column: array,
-) -> dict:
+def run_kernel(library: Any, config: MachineConfig, trace: Trace) -> dict:
     """Every ``RESULTS`` count of one kernel run over ``trace``."""
     import ctypes
 
@@ -235,10 +160,10 @@ def run_kernel(
     params = (ctypes.c_int64 * len(values))(*values)
     results = (ctypes.c_int64 * len(RESULTS))()
 
-    dynamic = [getattr(trace, name) for name in _KERNEL_DYNAMIC] + [column]
+    dynamic = [getattr(trace, name) for name in _KERNEL_DYNAMIC]
     static = [getattr(trace, name) for name in _KERNEL_STATIC]
-    typecodes = ([_TYPECODES[name] for name in _KERNEL_DYNAMIC] + ["B"]
-                 + [_TYPECODES[name] for name in _KERNEL_STATIC])
+    typecodes = [_TYPECODES[name]
+                 for name in _KERNEL_DYNAMIC + _KERNEL_STATIC]
     total, n_static = len(trace.pcs), len(trace.s_cls)
     if (any(len(col) != total for col in dynamic)
             or any(len(col) != n_static for col in static)
@@ -249,8 +174,8 @@ def run_kernel(
     address = [col.buffer_info()[0] for col in dynamic + static]
     status = library.repro_ooo_run(
         params, len(values),
-        *address[:5], total,
-        *address[5:], n_static,
+        *address[:4], total, trace.end_pc,
+        *address[4:], n_static,
         results, len(RESULTS),
     )
     name = STATUSES[status] if 0 <= status < len(STATUSES) else None
@@ -267,12 +192,14 @@ def run_kernel(
 
 
 def simulate(config: MachineConfig, trace: Trace) -> Optional[PipelineStats]:
-    """The kernel's statistics for one run, or ``None`` if it did not load
-    (warning once)."""
+    """The kernel's statistics for one run, or ``None`` if it has no port
+    of the configured predictor or did not load (warning once)."""
+    if config.predictor_spec not in PREDICTOR_KINDS:
+        return None
     library = KERNEL.load_or_warn()
     if library is None:
         return None
-    counts = run_kernel(library, config, trace, mispredict_column(trace, config))
+    counts = run_kernel(library, config, trace)
     stats = PipelineStats(**{name: counts[name] for name in _STATS_FIELDS})
     stats.annotation_insts = len(trace.pcs) - stats.program_insts
     return stats

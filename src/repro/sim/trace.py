@@ -215,7 +215,7 @@ class Trace:
     __slots__ = (
         "program_name", "dvi", "completed", "end_pc",
         *(name for name, _ in COLUMNS),
-        "_rows", "_program_insts", "_hot", "_replay", "_mispredicts",
+        "_rows", "_program_insts", "_hot", "_replay",
     )
 
     def __init__(
@@ -241,9 +241,6 @@ class Trace:
         self._program_insts: Optional[int] = None
         self._hot: Optional[tuple] = None
         self._replay: Optional[list] = None
-        #: Mispredict columns by predictor configuration (owned by
-        #: :func:`repro.sim.ooo.native.mispredict_column`; never pickled).
-        self._mispredicts: Optional[dict] = None
 
     # ------------------------------------------------------------------
     # The row-view shim.

@@ -1,24 +1,28 @@
 """The native timing kernel against its oracle, the Python core.
 
 * **Differential**: random fuzz and suite programs × five DVI modes ×
-  random machine configurations; the kernel must match
-  ``OutOfOrderCore.run`` on every ``PipelineStats`` field and on the
-  hidden cache state (write-backs, L2 traffic).
+  random machine configurations, predictor and BTB/RAS geometry
+  included; the kernel must match ``OutOfOrderCore.run`` on every
+  ``PipelineStats`` field and on the hidden cache state (write-backs,
+  L2 traffic).
 * **Metamorphic**: the register-file saturation identity, and the
   accounting identities every run satisfies.
-* **The mispredict column**: shared across timing-only knobs, split by
-  predictor knobs, dropped when the rows change, never pickled.
-* **Robustness**: bad trace indices raise, a missing compiler falls
-  back to the oracle, concurrent runs match serial ones, and the build
-  never loads a file from a directory others can write.
+* **Prediction**: every registered predictor has a kernel port that
+  mispredicts where the oracle does, down to a BTB and a RAS small
+  enough to overflow, and a predictor without a port runs on the
+  Python core.
+* **Robustness**: bad trace indices and predictor geometries raise, a
+  missing compiler falls back to the oracle, concurrent runs match
+  serial ones, and the build never loads a file from a directory others
+  can write.
 """
 
 import os
-import pickle
 import shutil
 import subprocess
 import sys
 import threading
+import warnings
 from dataclasses import asdict, replace
 from functools import lru_cache
 from pathlib import Path
@@ -76,8 +80,12 @@ def kernel():
 
 sources = st.one_of(
     st.tuples(st.just("fuzz"), st.integers(0, 10_000)),
-    st.tuples(st.just("suite"), st.sampled_from(["vortex_like", "compress_like"])),
+    st.tuples(st.just("suite"),
+              st.sampled_from(["vortex_like", "compress_like", "li_like"])),
 )
+
+
+table_sizes = st.integers(0, 8).map(lambda bits: 1 << bits)
 
 
 @st.composite
@@ -94,6 +102,15 @@ def machines(draw):
         cache_ports=draw(st.integers(1, 3)),
         phys_regs=draw(st.integers(32, 128)),
         mispredict_penalty=draw(st.integers(0, 6)),
+        bimodal_entries=draw(table_sizes),
+        gshare_entries=draw(table_sizes),
+        chooser_entries=draw(table_sizes),
+        local_entries=draw(table_sizes),
+        history_bits=draw(st.integers(1, 12)),
+        local_history_bits=draw(st.integers(1, 10)),
+        btb_sets=draw(st.sampled_from([1, 2, 4, 8, 16, 64, 512])),
+        btb_assoc=draw(st.integers(1, 4)),
+        ras_depth=draw(st.integers(1, 8)),
     ).with_predictor(draw(st.sampled_from(PREDICTORS.names())))
     config = config.with_hierarchy(draw(st.sampled_from(HIERARCHIES.names())))
     line = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
@@ -124,8 +141,7 @@ class TestDifferential:
             "l2_misses": hierarchy.l2.misses,
             "l2_writebacks": hierarchy.l2.writebacks,
         }
-        column = native.mispredict_column(trace, config)
-        counts = native.run_kernel(entry, config, trace, column)
+        counts = native.run_kernel(entry, config, trace)
         assert counts == {name: expected[name] for name in native.RESULTS}
         stats = simulate(config, trace)
         assert stats == oracle
@@ -166,38 +182,43 @@ class TestMetamorphic:
                 first, min_free_phys=0)
 
 
-class TestMispredictColumn:
-    def test_timing_knobs_share_one_column(self):
-        trace = trace_of(("suite", "vortex_like"), 1)
-        base = MachineConfig.micro97()
-        column = native.mispredict_column(trace, base)
-        for config in (base.with_phys_regs(40), base.with_icache(1024),
-                       replace(base, window_size=16, cache_ports=1)):
-            assert native.mispredict_column(trace, config) is column
+class TestPrediction:
+    def test_every_registered_predictor_has_a_port(self):
+        """So no in-tree predictor silently runs on the Python core."""
+        assert set(PREDICTORS.names()) <= set(native.PREDICTOR_KINDS)
 
-    def test_predictor_knobs_split_the_column(self):
-        trace = trace_of(("suite", "vortex_like"), 1)
-        base = MachineConfig.micro97()
-        column = native.mispredict_column(trace, base)
-        for config in (replace(base, bimodal_entries=256),
-                       replace(base, btb_sets=64),
-                       base.with_predictor("static-taken")):
-            assert native.mispredict_column(trace, config) is not column
-
-    def test_memo_is_not_pickled(self):
-        trace = run_program(get_program("vortex_like", 1), DVIConfig.none(),
-                            collect_trace=True).trace
-        before = pickle.dumps(trace)
-        native.mispredict_column(trace, MachineConfig.micro97())
-        assert pickle.dumps(trace) == before
-        assert pickle.loads(before)._mispredicts is None
-
-    def test_column_counts_the_oracle_mispredicts(self):
+    def test_kernel_matches_the_oracle_under_every_predictor(self):
+        kernel()
         trace = trace_of(("suite", "compress_like"), 4)
         for name in PREDICTORS.names():
             config = MachineConfig.micro97().with_predictor(name)
             oracle = OutOfOrderCore(config, trace).run()
-            assert sum(native.mispredict_column(trace, config)) == oracle.mispredicts
+            assert simulate(config, trace).mispredicts == oracle.mispredicts
+
+    @pytest.mark.parametrize("workload", ["vortex_like", "li_like"])
+    @pytest.mark.parametrize("name", PREDICTORS.names())
+    def test_a_small_btb_and_ras_evict_as_the_oracle_does(self, name,
+                                                          workload):
+        """vortex_like overflows a 4-set, 2-way BTB, and li_like, whose
+        calls nest 9 deep, a 2-deep RAS; the default 512 x 4 BTB and
+        32-deep RAS never overflow on these programs."""
+        kernel()
+        trace = trace_of(("suite", workload), 0)
+        config = replace(MachineConfig.micro97().with_predictor(name),
+                         btb_sets=4, btb_assoc=2, ras_depth=2)
+        assert simulate(config, trace) == OutOfOrderCore(config, trace).run()
+
+    def test_a_predictor_without_a_port_runs_on_the_python_core(
+            self, monkeypatch):
+        kernel()
+        monkeypatch.setattr(native, "PREDICTOR_KINDS", ("comb",))
+        trace = trace_of(("suite", "vortex_like"), 1)
+        config = MachineConfig.micro97().with_predictor("local")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert native.simulate(config, trace) is None
+            stats = simulate(config, trace)
+        assert stats == OutOfOrderCore(config, trace).run()
 
 
 _BAD_TRACES = r"""
@@ -262,10 +283,9 @@ for corrupt in (pc_past_the_table, negative_pc, destination_32,
                 free_mask_bit_40, free_mask_bit_0, short_column,
                 foreign_typecode):
     trace = fresh()
-    column = array("B", bytes(len(trace)))
     corrupt(trace)
     # Through the kernel's own checks, then through simulate().
-    for run in (lambda: native.run_kernel(entry, config, trace, column),
+    for run in (lambda: native.run_kernel(entry, config, trace),
                 lambda: native.simulate(config, trace)):
         try:
             run()
@@ -274,6 +294,37 @@ for corrupt in (pc_past_the_table, negative_pc, destination_32,
         else:
             raise SystemExit(f"{corrupt.__name__}: no SimulationError")
     print(corrupt.__name__)
+"""
+
+
+_BAD_GEOMETRIES = r"""
+from repro.dvi.config import DVIConfig
+from repro.errors import SimulationError
+from repro.sim.config import MachineConfig
+from repro.sim.functional import run_program
+from repro.sim.ooo import native
+from repro.workloads.suite import get_program
+
+entry = native.KERNEL.load()
+assert entry is not None, native.KERNEL.reason
+trace = run_program(get_program("vortex_like", 1), DVIConfig.none(),
+                    collect_trace=True).trace
+
+for predictor, field, value in (
+        ("comb", "btb_sets", 100), ("comb", "btb_assoc", 0),
+        ("comb", "ras_depth", 0), ("comb", "bimodal_entries", 1000),
+        ("comb", "gshare_entries", 1000), ("comb", "chooser_entries", 0),
+        ("comb", "history_bits", 0), ("bimodal", "bimodal_entries", 3),
+        ("gshare", "history_bits", -1), ("local", "local_entries", 1000),
+        ("local", "local_history_bits", 63)):
+    config = MachineConfig.micro97().with_predictor(predictor)
+    object.__setattr__(config, field, value)  # past MachineConfig's checks
+    try:
+        native.run_kernel(entry, config, trace)
+    except SimulationError:
+        print(f"{predictor}:{field}")
+    else:
+        raise SystemExit(f"{predictor} {field}={value}: no SimulationError")
 """
 
 
@@ -295,6 +346,18 @@ class TestRobustness:
         assert result.returncode == 0, result.stderr
         assert len(result.stdout.split()) == 10
 
+    def test_bad_predictor_geometry_raises(self):
+        """The kernel refuses a predictor geometry it cannot index, even
+        one that got past MachineConfig; in a subprocess, as above."""
+        kernel()
+        result = subprocess.run(
+            [sys.executable, "-c", _BAD_GEOMETRIES],
+            env=dict(os.environ, PYTHONPATH=str(SRC)),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert len(result.stdout.split()) == 11
+
     def test_missing_compiler_falls_back_to_the_oracle(self, monkeypatch):
         loader = unloaded(native.KERNEL, compiler="/nonexistent/cc")
         monkeypatch.setattr(native, "KERNEL", loader)
@@ -307,11 +370,13 @@ class TestRobustness:
         assert "/nonexistent/cc" in loader.reason
 
     def test_concurrent_runs_match_serial_runs(self):
-        """More threads than cores, racing to fill one trace's memo and
-        overlapping inside the kernel, which runs without the GIL."""
+        """More threads than cores on one trace, overlapping inside the
+        kernel, which runs without the GIL on predictor state of its
+        own call."""
         kernel()
-        configs = [MachineConfig.micro97().with_phys_regs(size)
-                   for size in (36, 48)]
+        configs = [MachineConfig.micro97().with_phys_regs(36),
+                   MachineConfig.micro97().with_phys_regs(48)
+                   .with_predictor("local")]
         serial = [simulate(config, trace_of(("suite", "vortex_like"), 1))
                   for config in configs]
         trace = run_program(get_program("vortex_like", 1), DVIConfig.idvi_only(),
@@ -341,7 +406,6 @@ class TestRobustness:
             assert len(runs) == 6
             for config, stats in runs:
                 assert stats == serial[configs.index(config)]
-        assert len(trace._mispredicts) == 1
 
 
 class TestBuildDirectory:

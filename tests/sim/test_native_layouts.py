@@ -36,6 +36,9 @@ def upper(names) -> list:
 def test_kernel_enums_match_their_tables():
     assert enums(native.SOURCE) == {
         "CLS_": [cls.name for cls in OpClass],
+        "OP_": [op.name for op in Opcode],
+        "PK_": [kind.upper().replace("-", "_")
+                for kind in native.PREDICTOR_KINDS],
         "P_": upper(name for name, _ in native.PARAMS),
         "R_": upper(native.RESULTS),
         "ST_": upper(native.STATUSES),

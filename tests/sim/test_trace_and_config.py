@@ -124,6 +124,25 @@ class TestMachineConfig:
         with pytest.raises(ValueError):
             dataclasses.replace(MachineConfig.micro97(), issue_width=0)
 
+    @pytest.mark.parametrize("field", [
+        "bimodal_entries", "gshare_entries", "chooser_entries",
+        "local_entries", "btb_sets",
+    ])
+    def test_predictor_tables_must_be_powers_of_two(self, field):
+        with pytest.raises(ValueError, match=field):
+            MachineConfig(**{field: 1000})
+        with pytest.raises(ValueError, match=field):
+            MachineConfig(**{field: 0})
+        assert getattr(MachineConfig(**{field: 1}), field) == 1
+
+    @pytest.mark.parametrize("field", [
+        "history_bits", "local_history_bits", "btb_assoc", "ras_depth",
+    ])
+    def test_predictor_depths_must_be_positive(self, field):
+        with pytest.raises(ValueError, match=field):
+            MachineConfig(**{field: 0})
+        assert getattr(MachineConfig(**{field: 1}), field) == 1
+
 
 class TestCLI:
     def test_list_and_machine(self, capsys):
