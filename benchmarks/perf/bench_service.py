@@ -25,11 +25,15 @@ core's):
   with zero and with one live SSE subscriber on ``/v1/events``
   (span-stamping is always on), pinning the claim that the live
   operations surface is near-zero-cost when nobody is watching and
-  cheap when somebody is.
+  cheap when somebody is;
+* **burst latency** — DESIGN §"One drain loop"'s bursts A and B, four
+  requests released together by four client threads against a ``repro
+  serve`` child with the traces primed, timed from the first submit to
+  the last server-side ``done``, with the batches each burst took.
 
 The service is hosted in-process (:class:`repro.service.server
-.ServerThread`) but driven over real sockets through the same urllib
-client the CLI uses.
+.ServerThread`), except for the burst section's child, and driven over
+real sockets through the same urllib client the CLI uses.
 
 Each section updates only its own key in the committed report — a
 partial run (``--skip-*``) preserves every other section verbatim,
@@ -47,9 +51,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
+import queue
+import random
+import re
+import statistics
+import subprocess
 import sys
 import tempfile
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from datetime import date
@@ -59,8 +70,11 @@ REPO_ROOT = Path(__file__).resolve().parents[2]
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.service.client import (  # noqa: E402
+    ServiceError,
     get_stats,
+    stream_events,
     submit_and_wait,
+    submit_job,
 )
 from repro.service.server import ServerThread  # noqa: E402
 
@@ -70,6 +84,15 @@ WARM_PAYLOAD = {"kind": "sweep", "axis": "regfile", "values": ["34"],
 
 #: Distinct single-cell requests for the cold fan-out measurement.
 FANOUT_VALUES = ("34", "42", "50", "64")
+
+#: How often a cold measurement polls its job: the client's default
+#: 0.1 s would round a job of a few tens of ms up to the next poll.
+COLD_POLL_SECONDS = 0.01
+
+#: Burst B's workloads, one 8-point regfile sweep each (burst A is four
+#: one-point sweeps on ``li_like``); one request primes all four traces.
+BURST_WORKLOADS = ("li_like", "perl_like", "compress_like", "gcc_like")
+BURST_ROUNDS = 10
 
 
 def _payload(value: str) -> dict:
@@ -98,7 +121,7 @@ def bench_cold(tmp: Path) -> dict:
     with ServerThread(tmp / "cold-queue", tmp / "cold-cache") as service:
         started = time.perf_counter()
         submit_and_wait(service.url, dict(WARM_PAYLOAD), client="bench",
-                        timeout=300.0)
+                        timeout=300.0, poll=COLD_POLL_SECONDS)
         single = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -106,7 +129,7 @@ def bench_cold(tmp: Path) -> dict:
             list(pool.map(
                 lambda value: submit_and_wait(
                     service.url, _payload(value), client="bench",
-                    timeout=300.0,
+                    timeout=300.0, poll=COLD_POLL_SECONDS,
                 ),
                 FANOUT_VALUES,
             ))
@@ -170,7 +193,7 @@ def bench_fault_overhead(tmp: Path, requests: int) -> dict:
         _wait_pool_live(service)
         started = time.perf_counter()
         submit_and_wait(service.url, dict(WARM_PAYLOAD), client="bench",
-                        timeout=300.0)
+                        timeout=300.0, poll=COLD_POLL_SECONDS)
         cold_single = time.perf_counter() - started
 
         started = time.perf_counter()
@@ -220,9 +243,6 @@ def bench_observability(tmp: Path, requests: int) -> dict:
     would contend with the server for the GIL and charge the client's
     own ``json.loads`` work to the server's account.
     """
-    import os
-    import subprocess
-
     trials = 5
     chunk = max(60, requests // trials)
 
@@ -313,6 +333,136 @@ def bench_observability(tmp: Path, requests: int) -> dict:
     }
 
 
+def _burst_payloads(burst: str, round_index: int) -> list:
+    """Four requests of fresh timed cells on primed traces: every round
+    draws register-file sizes no earlier round used."""
+    if burst == "A":
+        return [_payload(str(100 + 4 * round_index + i)) for i in range(4)]
+    sizes = [str(200 + 8 * round_index + i) for i in range(8)]
+    return [{"kind": "sweep", "axis": "regfile", "values": sizes,
+             "workloads": [workload], "profile": "tiny"}
+            for workload in BURST_WORKLOADS]
+
+
+def _spawn_server(tmp: Path) -> tuple:
+    """A default ``repro serve`` child on fresh directories, and its URL."""
+    env = dict(os.environ)
+    src = str(REPO_ROOT / "src")
+    env["PYTHONPATH"] = src + (
+        os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
+    )
+    process = subprocess.Popen(
+        [sys.executable, "-m", "repro", "serve", "--port", "0",
+         "--cache-dir", str(tmp / "burst-cache"),
+         "--queue-dir", str(tmp / "burst-queue")],
+        stdout=subprocess.PIPE, stderr=subprocess.DEVNULL, text=True,
+        env=env,
+    )
+    match = re.search(r"http://[0-9.]+:\d+", process.stdout.readline())
+    if match is None:
+        process.kill()
+        process.wait()
+        raise RuntimeError("repro serve announced no URL")
+    return process, match.group(0)
+
+
+def bench_burst(tmp: Path) -> dict:
+    """Bursts A and B, alternating, ``BURST_ROUNDS`` times each.
+
+    Each burst is four client threads released together, one request
+    apiece.  Its time runs from the first client's submit to the
+    server-side ``ts`` of the last ``done`` job event, both wall clock
+    on this host, read from the ``/v1/events`` stream; the ``batch``
+    events in between count its batches.  A seeded 0.1–0.2 s pause
+    between bursts lands each at an arbitrary point of the idle
+    loop's wait.  The server is a child process, not a
+    :class:`ServerThread`, so the clients do not share its interpreter.
+    """
+    process, url = _spawn_server(tmp)
+    events: "queue.Queue[dict]" = queue.Queue()
+
+    def tail() -> None:
+        try:
+            for event in stream_events(url, buffer=4096, timeout=120.0):
+                events.put(event)
+        except ServiceError:
+            pass  # the server went away: the run is over
+
+    def burst(payloads: list) -> tuple:
+        go, starts, ids = threading.Event(), [], []
+
+        def client(payload: dict) -> None:
+            go.wait()
+            starts.append(time.time())
+            ids.append(submit_job(url, payload, client="bench")["id"])
+
+        clients = [threading.Thread(target=client, args=(payload,))
+                   for payload in payloads]
+        for thread in clients:
+            thread.start()
+        go.set()
+        for thread in clients:
+            thread.join(timeout=60.0)
+        if len(ids) != len(payloads):
+            raise RuntimeError("a burst client never got its receipt")
+        pending, batches, last_done = set(ids), 0, 0.0
+        while pending:
+            event = events.get(timeout=120.0)
+            if event["event"] == "batch":
+                batches += 1
+            elif event["event"] == "job" and event["id"] in pending:
+                if event["state"] in ("failed", "quarantined"):
+                    raise RuntimeError(f"burst job {event['id']} "
+                                       f"ended {event['state']}")
+                if event["state"] == "done":
+                    pending.discard(event["id"])
+                    last_done = event["ts"]
+        return (last_done - min(starts)) * 1000.0, batches
+
+    tailer = threading.Thread(target=tail, daemon=True)
+    tailer.start()
+    rng = random.Random(0)
+    times = {"A": [], "B": []}
+    batches = {"A": [], "B": []}
+    try:
+        deadline = time.monotonic() + 30.0
+        while get_stats(url)["events"]["subscribers"] < 1:
+            if time.monotonic() > deadline:
+                raise RuntimeError("the event stream never subscribed")
+            time.sleep(0.01)
+        submit_and_wait(url, {"kind": "sweep", "axis": "regfile",
+                              "values": ["99"],
+                              "workloads": list(BURST_WORKLOADS),
+                              "profile": "tiny"},
+                        client="bench", timeout=300.0)  # prime the traces
+        for round_index in range(BURST_ROUNDS):
+            for name in ("A", "B"):
+                time.sleep(0.1 + 0.1 * rng.random())
+                took, count = burst(_burst_payloads(name, round_index))
+                times[name].append(round(took, 1))
+                batches[name].append(count)
+    finally:
+        process.terminate()
+        try:
+            process.wait(timeout=30.0)
+        except subprocess.TimeoutExpired:
+            process.kill()
+            process.wait()
+        tailer.join(timeout=30.0)
+    report = {"rounds": BURST_ROUNDS, "requests": 4}
+    for name, cells in (("A", 4), ("B", 8 * len(BURST_WORKLOADS))):
+        q1, median, q3 = statistics.quantiles(times[name], n=4)
+        report[name] = {
+            "cells": cells,
+            "median_ms": round(median, 1),
+            "q1_ms": round(q1, 1),
+            "q3_ms": round(q3, 1),
+            "rounds_ms": times[name],
+            "batches": batches[name],
+        }
+    return report
+
+
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument(
@@ -339,6 +489,11 @@ def main() -> int:
         "--skip-observability", action="store_true",
         help="skip the observability overhead section (0 vs 1 SSE "
              "subscriber on the warm path)",
+    )
+    parser.add_argument(
+        "--skip-burst", action="store_true",
+        help="skip the burst section (bursts A and B against a serve "
+             "child)",
     )
     args = parser.parse_args()
 
@@ -376,6 +531,15 @@ def main() -> int:
                   f"one subscriber {obs['one_subscriber_rps']} req/s "
                   f"({obs['overhead_pct']}% overhead, "
                   f"{obs['events_published']} events published)")
+        if not args.skip_burst:
+            print(f"burst: A and B, {BURST_ROUNDS} rounds each, against "
+                  "a serve child ...", flush=True)
+            bursts = sections["burst"] = bench_burst(tmp_path)
+            for name in ("A", "B"):
+                row = bursts[name]
+                print(f"  {name}: median {row['median_ms']} ms "
+                      f"(q1-q3 {row['q1_ms']}-{row['q3_ms']}), "
+                      f"batches {row['batches']}")
 
     # Merge, never overwrite: only the sections measured above are
     # replaced.  Everything else in the committed report — skipped

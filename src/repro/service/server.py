@@ -52,7 +52,8 @@ RUNNING job), the journal is compacted, and the process exits 0.
 Simulation work never runs on the event loop: one drain thread claims
 and executes one fused batch at a time (fanning it across the
 persistent worker pool when ``jobs > 1`` or a deadline is set), so the
-API stays responsive while heavy sweeps execute.
+API stays responsive while heavy sweeps execute.  A submit that queues
+a job wakes the idle drain loop.
 :class:`ServerThread` hosts the whole service inside one background
 thread — the harness tests, the smoke script, and the benchmark all
 drive real sockets through it.
@@ -82,6 +83,7 @@ from repro.service.metrics import render_json, render_prometheus
 from repro.service.queue import (
     AdmissionError,
     JobQueue,
+    JobState,
     QueueFullError,
 )
 from repro.service.routing import parse_shard_spec
@@ -89,7 +91,9 @@ from repro.service.tiered import DEFAULT_PEER_TIMEOUT, TieredArtifactCache
 
 __all__ = ["ServiceServer", "ServerThread", "serve_forever"]
 
-#: How long the dispatcher thread naps when the queue is empty.
+#: The longest the drain loop waits for a submit when it finds nothing
+#: to do: it bounds the work no submit announces (the breaker cooldown
+#: ending, lease reclaim, auto-compaction).
 _IDLE_POLL_SECONDS = 0.05
 
 #: SSE stream pacing: how often an idle stream polls its subscription,
@@ -232,12 +236,16 @@ class ServiceServer:
         # Created inside start(): pre-3.10 asyncio primitives bind their
         # loop at construction, and __init__ runs before asyncio.run().
         self._closing: Optional[asyncio.Event] = None
+        #: Set by a submit that leaves a job queued: it wakes the idle
+        #: drain loop.
+        self._wake: Optional[asyncio.Event] = None
 
     # -- lifecycle -------------------------------------------------------
 
     async def start(self) -> None:
         """Bind the socket (resolving port 0) and start the drain loop."""
         self._closing = asyncio.Event()
+        self._wake = asyncio.Event()
         if self.log_json:
             self._start_log_thread()
         self._server = await asyncio.start_server(
@@ -360,6 +368,10 @@ class ServiceServer:
     async def _drain_loop(self) -> None:
         loop = asyncio.get_running_loop()
         while not self._closing.is_set():
+            # Cleared before the claim, not after: a submit landing
+            # while drain_once runs leaves it set, and the wait below
+            # returns at once instead of losing the wakeup.
+            self._wake.clear()
             try:
                 handled = await loop.run_in_executor(
                     self._executor, self.dispatcher.drain_once
@@ -379,7 +391,12 @@ class ServiceServer:
                 await asyncio.sleep(1.0)
                 continue
             if not handled:
-                await asyncio.sleep(_IDLE_POLL_SECONDS)
+                try:
+                    await asyncio.wait_for(
+                        self._wake.wait(), _IDLE_POLL_SECONDS
+                    )
+                except asyncio.TimeoutError:
+                    pass
 
     # -- HTTP plumbing ---------------------------------------------------
 
@@ -741,6 +758,8 @@ class ServiceServer:
             raise RequestError("request body must be a JSON object")
         client = str(payload.pop("client", "anonymous"))
         job = self.dispatcher.submit(payload, client)
+        if job.state is JobState.QUEUED:
+            self._wake.set()
         # Identical requests get byte-identical responses regardless of
         # submission order or current job state.
         return 202, {"id": job.id, "location": f"/v1/jobs/{job.id}"}

@@ -87,6 +87,13 @@ class MachineConfig:
                      "ras_depth"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        # The local predictor's pattern table holds 2**local_history_bits
+        # counters, sized with a 64-bit shift in the timing kernel.
+        if self.local_history_bits > 62:
+            raise ValueError(
+                f"local_history_bits must be <= 62, got "
+                f"{self.local_history_bits}"
+            )
         # Resolve the spec names now so a typo fails at configuration
         # time (with the registry's valid-name list), not mid-simulation;
         # likewise the predictor tables, which index by masking.

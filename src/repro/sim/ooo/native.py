@@ -187,7 +187,9 @@ def run_kernel(library: Any, config: MachineConfig, trace: Trace) -> dict:
     if name == "no_memory":
         raise MemoryError("the timing kernel could not allocate its state")
     if name != "ok":
-        raise SimulationError(f"the timing kernel refused its parameters ({status})")
+        raise SimulationError(
+            f"the timing kernel refused its parameters ({name or status})"
+        )
     return dict(zip(RESULTS, results))
 
 

@@ -4,8 +4,10 @@ One thread claims and executes every batch, so batches never overlap.
 A cell two batches share (a trace under two machine configurations, a
 timed cell two requests enumerate) is computed by the first and read
 from the disk cache by the second.  A drain-level failure is reported
-and the loop keeps draining.  The worker pool is sized ``jobs``, and
-``repro serve`` has no ``--workers`` knob.
+and the loop keeps draining.  A submit that queues a job wakes the
+idle loop, so the job never waits out the loop's idle timeout.  The
+worker pool is sized ``jobs``, and ``repro serve`` has no
+``--workers`` knob.
 """
 
 import threading
@@ -13,6 +15,7 @@ import time
 
 import pytest
 
+import repro.service.server as server_module
 from repro.__main__ import main
 from repro.service.client import get_stats, poll_job, submit_job
 from repro.service.dispatcher import Dispatcher
@@ -138,6 +141,58 @@ class TestDrainLoopSurvivesErrors:
                    if event["event"] == "drain_error"]
         assert error["error"] == "OSError: journal write failed"
         assert set(error) == {"event", "error", "seq", "ts"}
+
+
+class TestWakeOnSubmit:
+    """With the idle timeout at a minute, only the wake can get a job
+    claimed within the test's deadline."""
+
+    def test_submit_wakes_the_idle_loop(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(server_module, "_IDLE_POLL_SECONDS", 60.0)
+        service = ServerThread(tmp_path / "queue", tmp_path / "cache")
+        dispatcher = service.dispatcher
+        drain_once = dispatcher.drain_once
+        idle = threading.Event()
+
+        def watched():
+            handled = drain_once()
+            if not handled:
+                idle.set()
+            return handled
+
+        dispatcher.drain_once = watched
+        with service:
+            assert idle.wait(timeout=30.0)
+            receipt = submit_job(service.url, _payload("34"), client="a")
+            record = poll_job(service.url, receipt["id"], timeout=10.0)
+        assert record["state"] == "done"
+
+    def test_submit_during_an_idle_claim_is_not_lost(
+        self, tmp_path, monkeypatch
+    ):
+        """One idle ``drain_once`` returns 0 only after the POST has
+        returned, as when its ``has_pending`` check ran just before the
+        submit: the wake that submit set must survive the call."""
+        monkeypatch.setattr(server_module, "_IDLE_POLL_SECONDS", 60.0)
+        service = ServerThread(tmp_path / "queue", tmp_path / "cache")
+        dispatcher = service.dispatcher
+        drain_once = dispatcher.drain_once
+        checked, posted = threading.Event(), threading.Event()
+
+        def idle_across_the_submit():
+            handled = drain_once()
+            if not handled and not checked.is_set():
+                checked.set()
+                posted.wait(timeout=30.0)
+            return handled
+
+        dispatcher.drain_once = idle_across_the_submit
+        with service:
+            assert checked.wait(timeout=30.0)
+            receipt = submit_job(service.url, _payload("34"), client="a")
+            posted.set()
+            record = poll_job(service.url, receipt["id"], timeout=10.0)
+        assert record["state"] == "done"
 
 
 class TestPoolSizing:

@@ -321,7 +321,8 @@ for predictor, field, value in (
     object.__setattr__(config, field, value)  # past MachineConfig's checks
     try:
         native.run_kernel(entry, config, trace)
-    except SimulationError:
+    except SimulationError as error:
+        assert str(error).endswith("(bad_params)"), error
         print(f"{predictor}:{field}")
     else:
         raise SystemExit(f"{predictor} {field}={value}: no SimulationError")

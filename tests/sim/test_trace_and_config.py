@@ -143,6 +143,13 @@ class TestMachineConfig:
             MachineConfig(**{field: 0})
         assert getattr(MachineConfig(**{field: 1}), field) == 1
 
+    def test_local_history_fits_the_kernels_table(self):
+        """62 bits is the widest pattern table the timing kernel sizes;
+        wider is refused before it reaches a cache key."""
+        with pytest.raises(ValueError, match="local_history_bits"):
+            MachineConfig(local_history_bits=63)
+        assert MachineConfig(local_history_bits=62).local_history_bits == 62
+
 
 class TestCLI:
     def test_list_and_machine(self, capsys):
