@@ -22,7 +22,7 @@ are compared byte for byte.
    engine must have loaded, so it proves the shipped arm ran on it.
 
 3. **Native kernel ≡ oracle** — the same ``run-all`` with
-   ``repro.experiments.runner.simulate`` swapped for the Python core
+   ``repro.sim.ooo.core.simulate`` swapped for the Python core
    (the kernel's oracle).  The kernel must have loaded, so the check
    proves it is the path that ran.
 
@@ -123,20 +123,18 @@ def check_engine_matches_python(tmp: Path, shipped: bytes) -> None:
 
 
 def check_kernel_matches_oracle(tmp: Path, shipped: bytes) -> None:
-    from repro.experiments import runner
-    from repro.sim.ooo import native
-    from repro.sim.ooo.core import OutOfOrderCore
+    from repro.sim.ooo import core, native
 
     if native.KERNEL.load() is None:
         raise SystemExit(
             f"FAIL: the native timing kernel did not load: {native.KERNEL.reason}"
         )
-    kernel = runner.simulate
-    runner.simulate = lambda config, trace: OutOfOrderCore(config, trace).run()
+    kernel = core.simulate
+    core.simulate = lambda config, trace: core.OutOfOrderCore(config, trace).run()
     try:
         oracle = run_all(tmp, "oracle")
     finally:
-        runner.simulate = kernel
+        core.simulate = kernel
     if shipped != oracle:
         raise SystemExit(
             "FAIL: run-all manifest on the native timing kernel differs from "

@@ -59,7 +59,6 @@ from repro.experiments.sweep import (
 from repro.registry import UnknownComponentError
 from repro.sim.branch.predictors import PREDICTORS
 from repro.sim.cache.hierarchy import HIERARCHIES
-from repro.workloads.suite import REGISTRY as WORKLOADS
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -182,6 +181,8 @@ def _print_components(args) -> None:
     """The ``list`` subcommand body."""
     sections = []
     if args.workloads:
+        from repro.workloads.suite import REGISTRY as WORKLOADS
+
         sections.append(("workloads", [
             (w.name, f"{w.description} (analog: {w.analog})")
             for w in WORKLOADS.all()

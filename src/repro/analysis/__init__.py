@@ -1,35 +1,1 @@
 """Static analyses: CFG construction, dataflow engine, liveness."""
-
-from repro.analysis.cfg import (
-    BasicBlock,
-    CFGError,
-    ProcedureCFG,
-    build_all_cfgs,
-    build_cfg,
-    discover_procedures,
-    procedures_of,
-)
-from repro.analysis.dataflow import DataflowResult, solve_backward, solve_forward
-from repro.analysis.liveness import (
-    LivenessResult,
-    analyze_procedure,
-    analyze_program,
-    instruction_uses_defs,
-)
-
-__all__ = [
-    "BasicBlock",
-    "CFGError",
-    "DataflowResult",
-    "LivenessResult",
-    "ProcedureCFG",
-    "analyze_procedure",
-    "analyze_program",
-    "build_all_cfgs",
-    "build_cfg",
-    "discover_procedures",
-    "instruction_uses_defs",
-    "procedures_of",
-    "solve_backward",
-    "solve_forward",
-]

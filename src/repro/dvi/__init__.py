@@ -1,17 +1,1 @@
 """DVI hardware models: LVM, LVM-Stack, and the combined engine."""
-
-from repro.dvi.config import DVIConfig, SRScheme
-from repro.dvi.engine import DVICounters, DVIEngine
-from repro.dvi.lvm import ALL_LIVE, LiveValueMask
-from repro.dvi.lvm_stack import DEFAULT_DEPTH, LVMStack
-
-__all__ = [
-    "ALL_LIVE",
-    "DEFAULT_DEPTH",
-    "DVIConfig",
-    "DVICounters",
-    "DVIEngine",
-    "LVMStack",
-    "LiveValueMask",
-    "SRScheme",
-]

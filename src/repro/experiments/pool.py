@@ -184,15 +184,18 @@ def _warm_worker_init(
     Runs once per worker process, at spawn.  ``cache_factory`` opens
     the parent's cache configuration (local root plus any shared tier),
     so worker-computed artifacts land where the parent's own stores
-    would.  The imports pull in the workload suite, the experiment
-    registry and both native engines, built or loaded, so the first
-    submitted cell starts computing immediately instead of paying the
-    import graph or an engine's load.
+    would.  The imports pull in the workload suite, the E-DVI rewriter,
+    the experiment registry, the timing entry point and both native
+    engines, built or loaded, so the first submitted cell starts
+    computing immediately instead of paying the import graph or an
+    engine's load.
     """
     global _WARM_CACHE_FACTORY
     _WARM_CACHE_FACTORY = cache_factory
     import repro.experiments  # noqa: F401  (experiment directory)
     import repro.experiments.sweep  # noqa: F401  (sweep assembly)
+    import repro.rewrite.edvi  # noqa: F401  (binary rewriting)
+    import repro.sim.ooo.core  # noqa: F401  (timing entry point)
     import repro.workloads.suite  # noqa: F401  (workload programs)
     from repro.sim import functional_native
     from repro.sim.ooo import native

@@ -31,17 +31,15 @@ from typing import (
 
 from repro.dvi.config import DVIConfig, SRScheme
 from repro.experiments.cache import ArtifactCache, fingerprint
-from repro.program.program import Program
-from repro.rewrite.edvi import insert_edvi
 from repro.sim.config import MachineConfig
-from repro.sim.functional import FunctionalResult, run_program
-from repro.sim.ooo.core import simulate
-from repro.sim.ooo.stats import PipelineStats
 from repro.sim.trace import TRACE_FORMAT, Trace
-from repro.workloads.suite import ALL_ORDER, SAVE_RESTORE_ORDER, get_program
+from repro.workloads import ALL_ORDER, SAVE_RESTORE_ORDER
 
 if TYPE_CHECKING:
     from repro.experiments.pool import WarmPool
+    from repro.program.program import Program
+    from repro.sim.functional import FunctionalResult
+    from repro.sim.ooo.stats import PipelineStats
 
 
 @dataclass(frozen=True)
@@ -106,22 +104,46 @@ class ExperimentProfile:
 # ----------------------------------------------------------------------
 # The artifact-kind table: the one place that knows which simulation
 # artifacts exist and how each is keyed and computed.  The compute
-# functions look up get_program, insert_edvi, run_program and simulate
-# in this module's globals at call time, so a wrapper installed on
-# those names (a tracer, a test double) sees every call.
+# functions import get_program, insert_edvi, run_program and simulate
+# from their defining modules at call time: a run that replays every
+# cell from the cache never loads the builders or the simulators, and
+# a wrapper installed on those module attributes (a tracer, a test
+# double) sees every call.
 # ----------------------------------------------------------------------
 
 def _build(cell: "Job", scale: int) -> Tuple[Program, Program]:
+    from repro.rewrite.edvi import insert_edvi
+    from repro.workloads.suite import get_program
+
     plain = get_program(cell.workload, scale)
     return plain, insert_edvi(plain).program
 
 
 def _trace(cell: "Job", scale: int, binaries: Tuple[Program, Program]) -> Trace:
+    from repro.sim.functional import run_program
+
     result = run_program(binaries[cell.edvi_binary], cell.dvi, collect_trace=True)
     if not result.stats.completed:
         raise RuntimeError(f"workload {cell.workload} did not complete")
     assert result.trace is not None
     return result.trace
+
+
+def _functional(
+    cell: "Job", scale: int, binaries: Tuple[Program, Program]
+) -> FunctionalResult:
+    from repro.sim.functional import run_program
+
+    return run_program(
+        binaries[cell.edvi_binary], cell.dvi,
+        collect_trace=False, collect_live_hist=cell.live_hist,
+    )
+
+
+def _timed(cell: "Job", scale: int, trace: Trace) -> PipelineStats:
+    from repro.sim.ooo.core import simulate
+
+    return simulate(cell.machine, trace)
 
 
 @dataclass(frozen=True)
@@ -162,18 +184,13 @@ ARTIFACT_KINDS: Dict[str, ArtifactKind] = {
     "functional": ArtifactKind(
         fields=("dvi", "edvi_binary", "live_hist"),
         key=lambda c, s: (c.workload, s, c.edvi_binary, c.dvi, c.live_hist),
-        compute=lambda c, s, binaries: run_program(
-            binaries[c.edvi_binary], c.dvi,
-            collect_trace=False, collect_live_hist=c.live_hist,
-        ),
-        upstream=("binary",),
+        compute=_functional, upstream=("binary",),
     ),
     # Timing is what fresh-timing views re-execute, so it is not shared.
     "timed": ArtifactKind(
         fields=("dvi", "edvi_binary", "machine"),
         key=lambda c, s: (c.workload, s, c.edvi_binary, c.dvi, c.machine),
-        compute=lambda c, s, trace: simulate(c.machine, trace),
-        upstream=("trace",), shared=False,
+        compute=_timed, upstream=("trace",), shared=False,
     ),
 }
 

@@ -1,17 +1,1 @@
 """ISA definition: registers, opcodes, instructions, ABI, binary encoding."""
-
-from repro.isa.abi import ABI, DEFAULT_ABI, no_idvi_abi
-from repro.isa.instruction import INST_BYTES, Instruction, format_instruction
-from repro.isa.opcodes import OpClass, Opcode, op_class
-
-__all__ = [
-    "ABI",
-    "DEFAULT_ABI",
-    "INST_BYTES",
-    "Instruction",
-    "OpClass",
-    "Opcode",
-    "format_instruction",
-    "no_idvi_abi",
-    "op_class",
-]

@@ -1,24 +1,1 @@
 """Program representation, authoring DSL, assembler, and disassembler."""
-
-from repro.program.assembler import AssemblerError, assemble
-from repro.program.builder import ProgramBuilder
-from repro.program.disassembler import disassemble
-from repro.program.program import (
-    DATA_BASE,
-    STACK_TOP,
-    ProcedureDecl,
-    Program,
-    ProgramError,
-)
-
-__all__ = [
-    "AssemblerError",
-    "DATA_BASE",
-    "STACK_TOP",
-    "ProcedureDecl",
-    "Program",
-    "ProgramBuilder",
-    "ProgramError",
-    "assemble",
-    "disassemble",
-]

@@ -1,23 +1,1 @@
 """Binary rewriting: E-DVI insertion/stripping and DVI verification."""
-
-from repro.rewrite.edvi import (
-    CallSiteInfo,
-    RewriteReport,
-    RewriteResult,
-    callee_save_sets,
-    insert_edvi,
-    strip_edvi,
-)
-
-__all__ = [
-    "CallSiteInfo",
-    "RewriteReport",
-    "RewriteResult",
-    "callee_save_sets",
-    "insert_edvi",
-    "strip_edvi",
-]
-
-from repro.rewrite.verify import EquivalenceReport, check_equivalence, verify_dvi
-
-__all__ += ["EquivalenceReport", "check_equivalence", "verify_dvi"]

@@ -20,25 +20,3 @@ CLI uses:
 DESIGN.md section 5 documents the architecture; the README's "Serving"
 section is the quick-start.
 """
-
-from repro.service.dispatcher import (
-    BreakerOpenError,
-    Dispatcher,
-    RequestError,
-    normalize_request,
-)
-from repro.service.queue import JobQueue, JobState, ServiceJob
-from repro.service.server import ServerThread, ServiceServer, serve_forever
-
-__all__ = [
-    "BreakerOpenError",
-    "Dispatcher",
-    "JobQueue",
-    "JobState",
-    "RequestError",
-    "ServerThread",
-    "ServiceJob",
-    "ServiceServer",
-    "normalize_request",
-    "serve_forever",
-]

@@ -547,8 +547,11 @@ class ServiceServer:
                 # under load this batches dozens of frames per wake
                 # instead of paying an await per event (bounded by the
                 # subscription buffer, so a flood can't wedge the loop).
+                # A write that finds the subscriber gone closes the
+                # transport; the next frames stop there rather than pile
+                # onto a dead socket.
                 wrote = False
-                while True:
+                while not writer.is_closing():
                     event = subscription.pop_nowait()
                     if event is None:
                         break
@@ -564,6 +567,8 @@ class ServiceServer:
                     await writer.drain()
                     last_write = time.monotonic()
                 await asyncio.sleep(_SSE_POLL_SECONDS)
+            if writer.is_closing():
+                status = 499  # the client went away between writes
         except (ConnectionError, OSError, asyncio.CancelledError):
             status = 499  # client went away (or the loop is closing)
         finally:

@@ -1,25 +1,1 @@
 """Simulators: functional emulator, trace format, and timing models."""
-
-from repro.sim.config import MachineConfig
-from repro.sim.functional import (
-    FunctionalResult,
-    FunctionalSimulator,
-    FunctionalStats,
-    run_program,
-)
-from repro.sim.ooo.core import OutOfOrderCore, simulate
-from repro.sim.ooo.stats import PipelineStats
-from repro.sim.trace import Trace, TraceRecord
-
-__all__ = [
-    "FunctionalResult",
-    "FunctionalSimulator",
-    "FunctionalStats",
-    "MachineConfig",
-    "OutOfOrderCore",
-    "PipelineStats",
-    "Trace",
-    "TraceRecord",
-    "run_program",
-    "simulate",
-]

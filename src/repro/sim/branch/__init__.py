@@ -1,28 +1,1 @@
 """Branch prediction: direction predictors, BTB, RAS, and the registry."""
-
-from repro.sim.branch.btb import BranchTargetBuffer, ReturnAddressStack
-from repro.sim.branch.predictors import (
-    PREDICTORS,
-    BimodalPredictor,
-    CombiningPredictor,
-    GsharePredictor,
-    LocalTwoLevelPredictor,
-    PredictorSpec,
-    SaturatingCounterTable,
-    StaticTakenPredictor,
-    build_predictor,
-)
-
-__all__ = [
-    "PREDICTORS",
-    "BimodalPredictor",
-    "BranchTargetBuffer",
-    "CombiningPredictor",
-    "GsharePredictor",
-    "LocalTwoLevelPredictor",
-    "PredictorSpec",
-    "ReturnAddressStack",
-    "SaturatingCounterTable",
-    "StaticTakenPredictor",
-    "build_predictor",
-]

@@ -1,6 +1,1 @@
 """Cache models: set-associative caches and the two-level hierarchy."""
-
-from repro.sim.cache.cache import Cache, CacheGeometry
-from repro.sim.cache.hierarchy import HierarchyConfig, MemoryHierarchy
-
-__all__ = ["Cache", "CacheGeometry", "HierarchyConfig", "MemoryHierarchy"]

@@ -1,7 +1,1 @@
 """Out-of-order core: renamer, pipeline model, statistics."""
-
-from repro.sim.ooo.core import OutOfOrderCore, simulate
-from repro.sim.ooo.renamer import Renamer
-from repro.sim.ooo.stats import PipelineStats
-
-__all__ = ["OutOfOrderCore", "PipelineStats", "Renamer", "simulate"]

@@ -1,12 +1,1 @@
 """Preemptive thread scheduling substrate (section 6)."""
-
-from repro.threads.context import ContextBlock, SwitchStats
-from repro.threads.scheduler import RoundRobinScheduler, ScheduleResult, ThreadResult
-
-__all__ = [
-    "ContextBlock",
-    "RoundRobinScheduler",
-    "ScheduleResult",
-    "SwitchStats",
-    "ThreadResult",
-]

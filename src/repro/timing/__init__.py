@@ -1,12 +1,1 @@
 """Register-file timing model and system-performance composition."""
-
-from repro.timing.regfile import RegFileTimingModel, ports_for_issue_width
-from repro.timing.system import DesignPoint, PerformanceCurves, performance_curves
-
-__all__ = [
-    "DesignPoint",
-    "PerformanceCurves",
-    "RegFileTimingModel",
-    "performance_curves",
-    "ports_for_issue_width",
-]

@@ -1,7 +1,8 @@
 """The benchmark suite: the seven SPEC95-integer analogs (Figure 3).
 
-Importing this module registers every workload.  The orderings below match
-the paper's figures: :func:`all_workloads` is the Figure 3/5 suite;
+Importing this module registers every workload.  The orderings, defined in
+:mod:`repro.workloads` and re-exported here, match the paper's figures:
+:func:`all_workloads` is the Figure 3/5 suite;
 :func:`save_restore_suite` is the six-benchmark subset of Figures 9 and 10
 ("the six benchmarks that exhibit significant save and restore activity",
 i.e. everything but compress).
@@ -22,19 +23,10 @@ from repro.workloads import (  # noqa: F401
     perl_like,
     vortex_like,
 )
+from repro.workloads import ALL_ORDER, SAVE_RESTORE_ORDER
 from repro.workloads.common import REGISTRY, Workload
 from repro.program.program import Program
 from repro.registry import UnknownComponentError
-
-#: Figure 9/10 ordering (li, ijpeg, gcc, perl, vortex, go).
-SAVE_RESTORE_ORDER = [
-    "li_like", "ijpeg_like", "gcc_like", "perl_like", "vortex_like", "go_like",
-]
-
-#: Figure 3 ordering (full suite).  Deliberately excludes workloads that
-#: are registered but not part of the paper's benchmark set (m88ksim),
-#: so every figure reproduces the paper's exact suite.
-ALL_ORDER = ["compress_like"] + SAVE_RESTORE_ORDER
 
 
 def all_workloads() -> List[Workload]:

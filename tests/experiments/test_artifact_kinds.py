@@ -19,7 +19,7 @@ import pickle
 import pytest
 
 from repro.dvi.config import DVIConfig
-from repro.experiments import EXPERIMENTS, runner
+from repro.experiments import EXPERIMENTS
 from repro.experiments.cache import ArtifactCache
 from repro.experiments.parallel import Job, execute
 from repro.experiments.pool import WarmPool
@@ -28,7 +28,9 @@ from repro.experiments.runner import (
     ExperimentContext,
     ExperimentProfile,
 )
+from repro.sim import functional
 from repro.sim.config import MachineConfig
+from repro.sim.ooo import core
 
 TINY = ExperimentProfile.tiny()
 
@@ -154,8 +156,8 @@ def test_assembly_reads_only_enumerated_cells(name, shared_cache,
     def forbidden(*args, **kwargs):
         raise AssertionError(f"{name} assembly ran a simulation")
 
-    monkeypatch.setattr(runner, "run_program", forbidden)
-    monkeypatch.setattr(runner, "simulate", forbidden)
+    monkeypatch.setattr(functional, "run_program", forbidden)
+    monkeypatch.setattr(core, "simulate", forbidden)
     module.run(TINY, context)
     looked_up = {
         kind for kind, counter in context.cache.counters.items()

@@ -12,8 +12,12 @@ the same event records.
 import contextlib
 import io
 import json
+import logging
+import socket
+import struct
 import threading
 import time
+import urllib.parse
 import urllib.request
 
 import pytest
@@ -260,6 +264,52 @@ class TestSlowConsumer:
         assert stats["dispatcher"]["jobs_completed"] \
             + stats["dispatcher"]["jobs_from_cache"] >= 1
         assert stats["queue"]["depth"] == 0
+
+    @pytest.mark.parametrize("reset", [False, True], ids=["fin", "rst"])
+    def test_departed_subscriber_is_logged_499_without_dead_writes(
+            self, service, caplog, reset):
+        # A subscriber hangs up while a backlog is pending.  After a FIN
+        # the first frame written to the dead socket closes the
+        # transport, and the rest of the backlog must stop there
+        # instead of piling onto it (asyncio warns once per write past
+        # the fifth).  An RST closes the transport before any write.
+        # Either way the access record says the client went away.
+        caplog.set_level(logging.WARNING, logger="asyncio")
+        bus = service.server.events
+        url = urllib.parse.urlsplit(service.url)
+        with bus.subscribe(maxsize=4096) as records:
+            with socket.create_connection(
+                (url.hostname, url.port), timeout=10.0
+            ) as subscriber:
+                subscriber.sendall(
+                    b"GET /v1/events HTTP/1.1\r\nHost: test\r\n\r\n")
+                seen = b""
+                while not (b"data: " in seen and seen.endswith(b"\n\n")):
+                    chunk = subscriber.recv(65536)
+                    assert chunk, "stream closed before the hello frame"
+                    seen += chunk
+                if reset:
+                    subscriber.setsockopt(socket.SOL_SOCKET, socket.SO_LINGER,
+                                          struct.pack("ii", 1, 0))
+            access = None
+            deadline = time.monotonic() + 10.0
+            while access is None and time.monotonic() < deadline:
+                for index in range(20):  # published within one poll tick
+                    bus.publish({"event": "probe", "index": index})
+                settle = time.monotonic() + 0.5
+                while access is None and time.monotonic() < settle:
+                    event = records.pop(timeout=0.05)
+                    if event is not None and event.get("event") == "http" \
+                            and event.get("path") == "/v1/events":
+                        access = event
+        assert access is not None, "the stream never logged its end"
+        assert access["status"] == 499
+        dead_writes = [
+            record for record in caplog.records
+            if record.name == "asyncio"
+            and "socket.send() raised exception" in record.getMessage()
+        ]
+        assert dead_writes == []
 
     def test_buffer_param_is_clamped(self, service):
         # Absurd values must not allocate absurd buffers or error.

@@ -1,8 +1,9 @@
 """The native timing kernel against its oracle, the Python core.
 
 * **Differential**: random fuzz and suite programs × five DVI modes ×
-  random machine configurations, predictor and BTB/RAS geometry
-  included; the kernel must match ``OutOfOrderCore.run`` on every
+  random machine configurations, predictor and BTB/RAS geometry,
+  op-class latencies and the L1 latency included (zero latencies too);
+  the kernel must match ``OutOfOrderCore.run`` on every
   ``PipelineStats`` field and on the hidden cache state (write-backs,
   L2 traffic).
 * **Metamorphic**: the register-file saturation identity, and the
@@ -31,6 +32,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from repro.dvi.config import DVIConfig, SRScheme
+from repro.isa.opcodes import OpClass
 from repro.rewrite.edvi import insert_edvi
 from repro.sim.branch.predictors import PREDICTORS
 from repro.sim.cache.hierarchy import HIERARCHIES
@@ -111,10 +113,16 @@ def machines(draw):
         btb_sets=draw(st.sampled_from([1, 2, 4, 8, 16, 64, 512])),
         btb_assoc=draw(st.integers(1, 4)),
         ras_depth=draw(st.integers(1, 8)),
+        # A zero latency lets a consumer issue in its producer's cycle.
+        latencies=draw(st.fixed_dictionaries(
+            {cls: st.integers(0, 12) for cls in OpClass})),
     ).with_predictor(draw(st.sampled_from(PREDICTORS.names())))
     config = config.with_hierarchy(draw(st.sampled_from(HIERARCHIES.names())))
-    line = draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64]))
-    return replace(config, hierarchy=replace(config.hierarchy, line_bytes=line))
+    return replace(config, hierarchy=replace(
+        config.hierarchy,
+        line_bytes=draw(st.sampled_from([1, 2, 4, 8, 16, 32, 64])),
+        l1_latency=draw(st.integers(0, 3)),
+    ))
 
 
 def counters(stats):
