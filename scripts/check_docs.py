@@ -54,6 +54,10 @@ DESIGN_REQUIRED = (
     # The one table of artifact kinds and its one resolve path.
     "artifact-kind table",
     "resolve path",
+    # Cache keys render through one renderer per type, pinned by the
+    # golden key digest.
+    "renderer table",
+    "golden key digest",
     # No package __init__ imports a submodule; the runner imports its
     # compute functions at call time.
     "imports on first use",

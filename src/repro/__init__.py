@@ -31,9 +31,10 @@ _SOURCES = {
     "repro.rewrite.edvi": ("insert_edvi", "strip_edvi"),
     "repro.rewrite.verify": ("check_equivalence", "verify_dvi"),
     "repro.sim.config": ("MachineConfig",),
-    "repro.sim.functional": ("FunctionalResult", "run_program"),
+    "repro.sim.functional": ("run_program",),
     "repro.sim.ooo.core": ("simulate",),
     "repro.sim.ooo.stats": ("PipelineStats",),
+    "repro.sim.result": ("FunctionalResult",),
     "repro.sim.trace": ("Trace",),
     "repro.timing.regfile": ("RegFileTimingModel",),
     "repro.timing.system": ("performance_curves",),

@@ -9,9 +9,9 @@ by a deterministic *cache key*: the SHA-256 digest of
 * a canonical rendering of the **key tuple** (workload name, profile
   scale, :class:`~repro.dvi.config.DVIConfig`,
   :class:`~repro.sim.config.MachineConfig`, flags), and
-* the **code version** — a digest of every ``.py`` file under
-  ``src/repro`` — so any source change invalidates the whole store
-  rather than serving stale simulations.
+* the **code version** — a digest of every ``.py`` and ``.c`` file
+  under ``src/repro`` — so any source change invalidates the whole
+  store rather than serving stale simulations.
 
 DESIGN.md documents the key/invalidation scheme; the short version is
 that a key canonicalizes *values*, never object identities, so two
@@ -63,6 +63,13 @@ __all__ = [
 # Canonicalization and fingerprinting.
 # ----------------------------------------------------------------------
 
+#: The renderer table: type -> the function that renders its instances.
+#: :func:`canonical` builds a class's renderer the first time it meets
+#: one; two threads racing on a first use build equal renderers, and
+#: either may win.
+_RENDERERS: Dict[type, Callable[[Any], str]] = {}
+
+
 def canonical(obj: Any) -> str:
     """A deterministic, value-based rendering of ``obj``.
 
@@ -72,23 +79,64 @@ def canonical(obj: Any) -> str:
     covers ``DVIConfig``, ``MachineConfig``, ``ABI``, and
     ``HierarchyConfig`` recursively).  Object identity, dict insertion
     order, and float formatting quirks never leak into the result.
+    A key's text is part of every cache address, so it changes only
+    with a deliberate update of the golden key digest
+    (``tests/experiments/test_key_rendering.py``).
     """
-    if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = ",".join(
-            f"{f.name}={canonical(getattr(obj, f.name))}"
-            for f in dataclasses.fields(obj)
-        )
-        return f"{type(obj).__qualname__}({fields})"
-    if isinstance(obj, Enum):
-        return f"{type(obj).__qualname__}.{obj.name}"
-    if isinstance(obj, dict):
-        entries = sorted(
-            (canonical(key), canonical(value)) for key, value in obj.items()
-        )
-        return "{" + ",".join(f"{k}:{v}" for k, v in entries) + "}"
-    if isinstance(obj, (list, tuple)):
-        return "[" + ",".join(canonical(item) for item in obj) + "]"
-    if isinstance(obj, float) and obj.is_integer() and math.isfinite(obj):
+    render = _RENDERERS.get(type(obj))
+    if render is None:
+        render = _RENDERERS[type(obj)] = _renderer(type(obj))
+    return render(obj)
+
+
+def _renderer(cls: type) -> Callable[[Any], str]:
+    """The renderer for instances of ``cls``.
+
+    Precedence: dataclass, then enum (so an ``IntEnum`` or a
+    ``str``-mixin enum renders by name), dict, list/tuple, float, and
+    the ``repr`` primitives last (``True`` renders as ``'True'``).
+    """
+    if dataclasses.is_dataclass(cls) and not issubclass(cls, type):
+        return _dataclass_renderer(cls)
+    if issubclass(cls, Enum):
+        prefix = cls.__qualname__ + "."
+        return lambda member: prefix + member._name_
+    if issubclass(cls, dict):
+        return _render_dict
+    if issubclass(cls, (list, tuple)):
+        return _render_sequence
+    if issubclass(cls, float):
+        return _render_float
+    if issubclass(cls, (str, int)) or cls is type(None):
+        return repr
+    raise TypeError(f"cannot canonicalize {cls.__name__} for a cache key")
+
+
+def _dataclass_renderer(cls: type) -> Callable[[Any], str]:
+    """``Class(name=value,...)``, the class's fields read once."""
+    head = cls.__qualname__ + "("
+    fields = [(f.name + "=", f.name) for f in dataclasses.fields(cls)]
+
+    def render(obj: Any) -> str:
+        return head + ",".join([
+            label + canonical(getattr(obj, name)) for label, name in fields
+        ]) + ")"
+
+    return render
+
+
+def _render_dict(obj: dict) -> str:
+    entries = sorted([(canonical(key), canonical(value))
+                      for key, value in obj.items()])
+    return "{" + ",".join([key + ":" + value for key, value in entries]) + "}"
+
+
+def _render_sequence(obj: Any) -> str:
+    return "[" + ",".join(map(canonical, obj)) + "]"
+
+
+def _render_float(obj: float) -> str:
+    if obj.is_integer() and math.isfinite(obj):
         # Numeric aliasing: ``1`` and ``1.0`` are the same value, so
         # they must render identically or every dedup layer keyed on a
         # fingerprint (live jobs, artifacts, cells) treats equal JSON
@@ -96,14 +144,12 @@ def canonical(obj: Any) -> str:
         # int rendering; the change is covered by code_version, so no
         # stale artifact keyed under the old rendering can be served.
         return repr(int(obj))
-    if isinstance(obj, (str, int, float, bool)) or obj is None:
-        return repr(obj)
-    raise TypeError(f"cannot canonicalize {type(obj).__name__} for a cache key")
+    return repr(obj)
 
 
 def fingerprint(*parts: Any) -> str:
     """SHA-256 hex digest of the canonical rendering of ``parts``."""
-    payload = "|".join(canonical(part) for part in parts)
+    payload = "|".join(map(canonical, parts))
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 

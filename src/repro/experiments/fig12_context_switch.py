@@ -20,7 +20,6 @@ from typing import Dict, List
 from repro.dvi.config import DVIConfig, SRScheme
 from repro.experiments.runner import ExperimentContext, ExperimentProfile, format_table
 from repro.experiments.sweep import Mode, SweepSpec
-from repro.threads.scheduler import RoundRobinScheduler
 
 #: Figure 12's benchmark set (ijpeg, gcc, perl, vortex, compress, go —
 #: li is not charted in the paper's figure).
@@ -153,6 +152,9 @@ def _scheduler_measurement(
 ) -> SchedulerMeasurement:
     """One cached preemptive-scheduler run of the mix under ``dvi``."""
     def compute() -> SchedulerMeasurement:
+        # Imported here: a replayed measurement never loads the engine.
+        from repro.threads.scheduler import RoundRobinScheduler
+
         solo_exits = {
             w: context.functional(
                 w, DVIConfig.none(), edvi_binary=False

@@ -38,8 +38,8 @@ from repro.workloads import ALL_ORDER, SAVE_RESTORE_ORDER
 if TYPE_CHECKING:
     from repro.experiments.pool import WarmPool
     from repro.program.program import Program
-    from repro.sim.functional import FunctionalResult
     from repro.sim.ooo.stats import PipelineStats
+    from repro.sim.result import FunctionalResult
 
 
 @dataclass(frozen=True)

@@ -25,8 +25,9 @@ from typing import List, Optional, Tuple
 
 from repro.dvi.config import DVIConfig
 from repro.program.program import DATA_BASE, STACK_TOP, Program
-from repro.sim.functional import FunctionalResult, run_program
+from repro.sim.functional import run_program
 from repro.sim.reference import ReferenceSimulator
+from repro.sim.result import FunctionalResult
 
 
 @dataclass(frozen=True)

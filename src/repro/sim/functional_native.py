@@ -4,7 +4,7 @@
 C port of :meth:`FunctionalSimulator.execute
 <repro.sim.functional.FunctionalSimulator.execute>` and of the DVI
 engine it drives, and returns the same
-:class:`~repro.sim.functional.FunctionalResult`, to identical bytes once
+:class:`~repro.sim.result.FunctionalResult`, to identical bytes once
 pickled.  :func:`repro.sim.functional.simulator` returns one whenever
 the engine loaded and the program encodes; the per-pc Python engine
 stays the fallback and the byte-level oracle.
@@ -51,13 +51,9 @@ from repro.errors import SimulationError
 from repro.isa import registers as regs
 from repro.isa.opcodes import NUM_OPCODES
 from repro.program.program import STACK_TOP, Program
-from repro.sim.functional import (
-    FunctionalResult,
-    FunctionalStats,
-    ProgramTables,
-    program_tables,
-)
+from repro.sim.functional import ProgramTables, program_tables
 from repro.sim.loader import KernelLoader
+from repro.sim.result import FunctionalResult, FunctionalStats
 
 __all__ = [
     "CONFIG", "ENGINE", "FIELDS", "NativeFunctionalSimulator", "STATE",

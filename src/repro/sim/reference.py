@@ -32,7 +32,7 @@ from repro.isa import registers as regs
 from repro.isa.instruction import Instruction
 from repro.isa.opcodes import OP_CLASS_TABLE, Opcode
 from repro.program.program import STACK_TOP, Program
-from repro.sim.functional import FunctionalResult, FunctionalStats
+from repro.sim.result import FunctionalResult, FunctionalStats
 from repro.sim.trace import (
     FLAG_ELIMINATED,
     FLAG_FREES,

@@ -24,7 +24,8 @@ from typing import List, Optional, Sequence
 from repro.dvi.config import DVIConfig
 from repro.errors import SimulationError
 from repro.program.program import Program
-from repro.sim.functional import FunctionalStats, simulator
+from repro.sim.functional import simulator
+from repro.sim.result import FunctionalStats
 from repro.threads.context import ContextBlock, SwitchStats
 
 

@@ -2,8 +2,9 @@
 
 No package ``__init__`` imports a submodule, and the experiment runner
 imports the workload builders, the E-DVI rewriter and the simulators
-at call time, when a cell is computed.  So starting the CLI, and a
-``run-all`` that replays every cell from the cache, load none of them.
+at call time, when a cell is computed; Figure 12 does the same with
+its scheduler.  So starting the CLI, and a ``run-all`` that replays
+every cell from the cache, load none of them.
 Each check runs in a fresh interpreter, because this one has imported
 everything already.
 """
@@ -22,7 +23,12 @@ from repro.__main__ import main as cli
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Modules that only computing a cell (or an oracle check) needs.
+#: Replaying a ``functional`` cell unpickles ``repro.sim.result``
+#: alone, and Figure 12 imports its scheduler only to compute.
 COMPUTE_ONLY = (
+    "repro.sim.functional",
+    "repro.dvi.engine",
+    "repro.threads.scheduler",
     "repro.sim.ooo.core",
     "repro.sim.ooo.native",
     "repro.sim.loader",
