@@ -23,7 +23,8 @@ trajectory of the simulator is tracked in-tree, PR over PR:
 * **run-all** — wall-clock seconds of ``python -m repro run-all`` on a
   chosen profile, cold (fresh cache directory; everything simulated and
   stored) and warm (second invocation; everything replayed from the
-  artifact cache).
+  artifact cache), plus the cold run's peak RSS and the bytes of the
+  trace pickles it stored.
 
 Usage::
 
@@ -137,8 +138,32 @@ def bench_timing(engine) -> dict:
     }
 
 
+#: Runs ``sys.argv[1:]`` with its output discarded, exits with its
+#: status, and prints its peak RSS in KiB and its wall time in seconds.
+#: A fresh interpreter starts it because Linux starts a child's peak at
+#: its parent's RSS, and this harness's own is larger than a cold
+#: ``run-all``'s by then.
+_MEASURED = """
+import os, sys, time
+started = time.perf_counter()
+pid = os.fork()
+if pid == 0:
+    null = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(null, 1)
+    os.dup2(null, 2)
+    os.execv(sys.argv[1], sys.argv[1:])
+_, status, usage = os.wait4(pid, 0)
+print(usage.ru_maxrss, time.perf_counter() - started)
+sys.exit(os.waitstatus_to_exitcode(status))
+"""
+
+
 def bench_run_all(profile: str) -> dict:
-    """Cold then warm ``run-all`` wall time against a fresh cache dir."""
+    """Cold then warm ``run-all`` wall time against a fresh cache dir.
+
+    Run after the hot loops, which build both native engines, so the
+    cold run's peak RSS counts no compiler.
+    """
     cache_dir = tempfile.mkdtemp(prefix="bench-simcore-cache-")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (
@@ -149,20 +174,29 @@ def bench_run_all(profile: str) -> dict:
         "--profile", profile, "--cache-dir", cache_dir,
     ]
     try:
-        timings = []
+        runs = []
         for _ in range(2):  # first: cold, second: warm replay
-            started = time.perf_counter()
-            subprocess.run(
-                command, env=env, check=True,
-                stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+            run = subprocess.run(
+                [sys.executable, "-c", _MEASURED, *command], env=env,
+                check=True, stdout=subprocess.PIPE, text=True,
             )
-            timings.append(time.perf_counter() - started)
+            rss_kib, seconds = run.stdout.split()
+            runs.append((int(rss_kib), float(seconds)))
+            if len(runs) == 1:
+                # Either artifact layout, so older revisions measure too.
+                trace_bytes = sum(
+                    path.stat().st_size
+                    for path in Path(cache_dir, "trace").rglob("*.pkl")
+                )
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
+    (cold_rss_kib, cold_seconds), (_, warm_seconds) = runs
     return {
         "profile": profile,
-        "cold_seconds": round(timings[0], 2),
-        "warm_seconds": round(timings[1], 2),
+        "cold_seconds": round(cold_seconds, 2),
+        "warm_seconds": round(warm_seconds, 2),
+        "cold_rss_peak_mb": round(cold_rss_kib / 1024, 1),
+        "cold_trace_bytes": trace_bytes,
     }
 
 
@@ -191,6 +225,13 @@ def _speedups(current: dict, baseline: dict) -> dict:
         )
     except (KeyError, ZeroDivisionError):
         pass
+    for name in ("cold_rss_peak_mb", "cold_trace_bytes"):
+        try:
+            out[f"run_all_{name}"] = round(
+                baseline["run_all"][name] / current["run_all"][name], 2
+            )
+        except (KeyError, ZeroDivisionError):
+            pass
     return out
 
 

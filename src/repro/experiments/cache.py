@@ -18,7 +18,8 @@ that a key canonicalizes *values*, never object identities, so two
 processes (or two runs on different days) that request the same cell
 produce the same digest and share one artifact file.
 
-Artifacts are pickled to ``<root>/<kind>/<digest[:2]>/<digest>.pkl``.
+Artifacts are pickled to ``<root>/<kind>/<digest>.pkl``, one flat
+directory per kind.
 Writes go through a temporary file followed by :func:`os.replace`, so
 concurrent writers (the :mod:`repro.experiments.parallel` worker pool,
 or several service worker processes) race benignly: both compute the
@@ -316,7 +317,7 @@ class ArtifactCache:
         return fingerprint(kind, key, self.version)
 
     def _path(self, kind: str, digest: str) -> Path:
-        return self.root / kind / digest[:2] / f"{digest}.pkl"
+        return self.root / kind / f"{digest}.pkl"
 
     def _counter(self, kind: str) -> CacheCounters:
         return self.counters.setdefault(kind, CacheCounters())
@@ -501,7 +502,7 @@ class ArtifactCache:
         for kind_dir in sorted(self.root.iterdir()):
             if not kind_dir.is_dir():
                 continue
-            for path in sorted(kind_dir.glob("*/*.pkl")):
+            for path in sorted(kind_dir.glob("*.pkl")):
                 try:
                     stat = path.stat()
                 except OSError:
@@ -542,7 +543,7 @@ class ArtifactCache:
         if self.root.is_dir():
             # Artifact-dir droppings (crashed store) and root-level ones
             # (crashed flush_counters) alike.
-            for pattern in ("*/*/*.tmp", "*.tmp"):
+            for pattern in ("*/*.tmp", "*.tmp"):
                 for tmp in self.root.glob(pattern):
                     try:
                         if now - tmp.stat().st_mtime > 3600.0:

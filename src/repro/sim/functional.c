@@ -5,7 +5,8 @@
  * The per-pc Python engine is the byte-level oracle: every run here must
  * produce the registers, the memory dict (keys in insertion order), the
  * per-pc counts, the live-register histogram (in first-seen order) and
- * the four dynamic trace columns that engine produces, and fail with the
+ * the four dynamic trace columns that engine produces (addresses only on
+ * LOAD/STORE-class rows, masks only on freeing rows), and fail with the
  * same fault at the same point.  Comments here note where the C shape
  * differs from the Python one; the semantics are documented there and
  * in repro.dvi.
@@ -120,11 +121,18 @@ typedef struct {
     int64_t head, len, cap, depth;
 } lvm_stack_t;
 
+/* A sparse trace column: one entry per memory row, or per freeing row. */
+typedef struct {
+    uint32_t *slot;
+    int64_t len, cap;
+} sparse_t;
+
+/* The trace columns: pcs and flags hold a row each. */
 typedef struct {
     int32_t *pcs;
-    int64_t *addrs, *free_masks;
     uint8_t *flags;
     int64_t len, cap;
+    sparse_t addrs, free_masks;
 } rows_t;
 
 typedef struct {
@@ -253,21 +261,28 @@ static int rows_grow(rows_t *r)
 {
     int64_t cap = r->cap ? 2 * r->cap : 4096;
     int32_t *pcs;
-    int64_t *addrs, *free_masks;
     uint8_t *flags;
     if (!(pcs = realloc(r->pcs, (size_t)cap * sizeof *pcs)))
         return 0;
     r->pcs = pcs;
-    if (!(addrs = realloc(r->addrs, (size_t)cap * sizeof *addrs)))
-        return 0;
-    r->addrs = addrs;
-    if (!(free_masks = realloc(r->free_masks, (size_t)cap * sizeof *free_masks)))
-        return 0;
-    r->free_masks = free_masks;
     if (!(flags = realloc(r->flags, (size_t)cap)))
         return 0;
     r->flags = flags;
     r->cap = cap;
+    return 1;
+}
+
+/* Room for one more entry in a sparse column. */
+static int sparse_reserve(sparse_t *column)
+{
+    int64_t cap = column->cap ? 2 * column->cap : 1024;
+    uint32_t *slot;
+    if (column->len < column->cap)
+        return 1;
+    if (!(slot = realloc(column->slot, (size_t)cap * sizeof *slot)))
+        return 0;
+    column->slot = slot;
+    column->cap = cap;
     return 1;
 }
 
@@ -281,9 +296,9 @@ void repro_fe_free(engine_t *e)
     free(e->mem.index);
     free(e->stack.slot);
     free(e->rows.pcs);
-    free(e->rows.addrs);
-    free(e->rows.free_masks);
     free(e->rows.flags);
+    free(e->rows.addrs.slot);
+    free(e->rows.free_masks.slot);
     free(e);
 }
 
@@ -622,30 +637,34 @@ int repro_fe_execute(
                 lvm &= ~in->kill;
             }
             break;
+        /* NOP-class: the trace keeps no address for these two. */
         case OP_LVM_SAVE: {
-            uint32_t *word;
-            addr = (uint32_t)(a + (uint64_t)in->imm);
-            if (!(word = mem_ref(mem, addr >> 2)))
+            uint32_t *word =
+                mem_ref(mem, (uint32_t)(a + (uint64_t)in->imm) >> 2);
+            if (!word)
                 return ST_NO_MEMORY;
             *word = lvm;
             break;
         }
         case OP_LVM_LOAD:
-            addr = (uint32_t)(a + (uint64_t)in->imm);
-            lvm = mem_get(mem, addr >> 2);
+            lvm = mem_get(mem, (uint32_t)(a + (uint64_t)in->imm) >> 2);
             break;
         }
 
         counts[pc]++;
         if (collect_trace) {
             int64_t row = rows->len;
-            if (row == rows->cap && !rows_grow(rows))
+            if ((row == rows->cap && !rows_grow(rows))
+                    || (addr >= 0 && !sparse_reserve(&rows->addrs))
+                    || (free_mask && !sparse_reserve(&rows->free_masks)))
                 return ST_NO_MEMORY;
             rows->pcs[row] = (int32_t)pc;
-            rows->addrs[row] = addr;
-            rows->free_masks[row] = free_mask;
             rows->flags[row] = free_mask ? fl | F_FREES : fl;
             rows->len = row + 1;
+            if (addr >= 0)
+                rows->addrs.slot[rows->addrs.len++] = (uint32_t)addr;
+            if (free_mask)
+                rows->free_masks.slot[rows->free_masks.len++] = free_mask;
         }
         if (in->dbit && !(fl & F_ELIMINATED))
             lvm |= in->dbit;  /* DVIEngine.on_def */
@@ -675,25 +694,33 @@ int repro_fe_execute(
     return ST_OK;
 }
 
-/* The trace rows and memory words held, for sizing the export. */
+/* The trace rows, addresses, masks and memory words held, for sizing
+ * the export. */
 void repro_fe_sizes(const engine_t *e, int64_t *sizes)
 {
     sizes[0] = e->rows.len;
-    sizes[1] = e->mem.len;
+    sizes[1] = e->rows.addrs.len;
+    sizes[2] = e->rows.free_masks.len;
+    sizes[3] = e->mem.len;
 }
 
 /* Copy the trace columns and the memory, in insertion order, out. */
 void repro_fe_export(
-    const engine_t *e, int32_t *pcs, int64_t *addrs, int64_t *free_masks,
+    const engine_t *e, int32_t *pcs, uint32_t *addrs, uint32_t *free_masks,
     uint8_t *flags, int64_t *keys, uint32_t *values)
 {
     size_t rows = (size_t)e->rows.len, words = (size_t)e->mem.len;
+    size_t n_addrs = (size_t)e->rows.addrs.len;
+    size_t n_masks = (size_t)e->rows.free_masks.len;
     if (rows) {
         memcpy(pcs, e->rows.pcs, rows * sizeof *pcs);
-        memcpy(addrs, e->rows.addrs, rows * sizeof *addrs);
-        memcpy(free_masks, e->rows.free_masks, rows * sizeof *free_masks);
         memcpy(flags, e->rows.flags, rows);
     }
+    if (n_addrs)
+        memcpy(addrs, e->rows.addrs.slot, n_addrs * sizeof *addrs);
+    if (n_masks)
+        memcpy(free_masks, e->rows.free_masks.slot,
+               n_masks * sizeof *free_masks);
     if (words) {
         memcpy(keys, e->mem.keys, words * sizeof *keys);
         memcpy(values, e->mem.values, words * sizeof *values);

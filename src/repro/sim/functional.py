@@ -57,7 +57,10 @@ builds once per program.
 Each handler returns ``(next_pc, addr, flags, free_mask)`` with
 ``flags`` using the :mod:`repro.sim.trace` bit encoding; non-memory,
 non-control handlers return one pre-built constant tuple, branch
-handlers pick between two.
+handlers pick between two.  ``addr`` is -1 except on the LOAD and STORE
+classes, whose rows are the ones the trace's sparse ``addrs`` column
+holds an entry for (``lvm_save``/``lvm_load`` touch memory but are
+NOP-class, so they report none).
 """
 
 from __future__ import annotations
@@ -499,17 +502,15 @@ def _build_handler(
     if op == Opcode.LVM_SAVE:
         save_lvm = engine.save_lvm
         def run():
-            addr = (R[rs1] + imm) & _MASK32
-            mem[addr >> 2] = save_lvm()
-            return (pc1, addr, _F_PLAIN, 0)
+            mem[((R[rs1] + imm) & _MASK32) >> 2] = save_lvm()
+            return ret
         return run
     if op == Opcode.LVM_LOAD:
         mem_get = mem.get
         load_lvm = engine.load_lvm
         def run():
-            addr = (R[rs1] + imm) & _MASK32
-            load_lvm(mem_get(addr >> 2, 0))
-            return (pc1, addr, _F_PLAIN, 0)
+            load_lvm(mem_get(((R[rs1] + imm) & _MASK32) >> 2, 0))
+            return ret
         return run
     raise SimulationError(f"unimplemented opcode {op.name}")  # pragma: no cover
 
@@ -696,6 +697,7 @@ class FunctionalSimulator:
 
         # Dynamic trace columns: plain lists while executing (list.append
         # beats array.append), converted to arrays by :meth:`result`.
+        # ``_c_addrs`` and ``_c_free`` are sparse (see repro.sim.trace).
         self._c_pcs: List[int] = []
         self._c_addrs: List[int] = []
         self._c_free: List[int] = []
@@ -743,11 +745,12 @@ class FunctionalSimulator:
             next_pc, addr, fl, free_mask = handlers[pc]()
             counts[pc] += 1
             if collect:
+                ap_pc(pc)
+                if addr >= 0:
+                    ap_addr(addr)
                 if free_mask:
                     fl |= FLAG_FREES
-                ap_pc(pc)
-                ap_addr(addr)
-                ap_free(free_mask)
+                    ap_free(free_mask)
                 ap_flags(fl)
             bit = dbits[pc]
             if bit and not fl & FLAG_ELIMINATED:
@@ -800,8 +803,8 @@ class FunctionalSimulator:
             trace = self._tables.trace(
                 self,
                 array("i", self._c_pcs),
-                array("q", self._c_addrs),
-                array("q", self._c_free),
+                array("I", self._c_addrs),
+                array("I", self._c_free),
                 array("B", self._c_flags),
             )
         return FunctionalResult(

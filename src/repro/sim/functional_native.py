@@ -364,11 +364,11 @@ class NativeFunctionalSimulator:
     def result(self) -> FunctionalResult:
         """Package the current architectural state and statistics."""
         library, handle = self._library, self._handle
-        sizes = _zeros("q", 2)
+        sizes = _zeros("q", 4)
         library.repro_fe_sizes(handle, _address(sizes))
-        rows, words = sizes
-        columns = [_zeros("i", rows), _zeros("q", rows), _zeros("q", rows),
-                   _zeros("B", rows)]
+        rows, n_addrs, n_masks, words = sizes
+        columns = [_zeros("i", rows), _zeros("I", n_addrs),
+                   _zeros("I", n_masks), _zeros("B", rows)]
         keys, values = _zeros("q", words), _zeros("I", words)
         library.repro_fe_export(
             handle, *map(_address, columns), _address(keys), _address(values)

@@ -34,9 +34,11 @@ Implementation notes (the perf-critical part):
 
 The stages are inlined into one :meth:`OutOfOrderCore.run` loop that
 reads the trace's **columnar** storage directly — the fetch queue holds
-plain row indices, per-row facts come from flat ``array`` columns, and
-per-pc static facts (opcode, class, destination, packed sources) from the
-trace's side-tables, all as ints.  In-flight window entries are small
+plain row indices, per-row facts come from flat ``array`` columns (the
+sparse address and free-mask columns spread over the rows once per trace
+by :meth:`~repro.sim.trace.Trace.replay_rows`), and per-pc static facts
+(opcode, class, destination, packed sources) from the trace's
+side-tables, all as ints.  In-flight window entries are small
 lists (see the ``E_*`` index constants) rather than objects; un-issued
 entries are additionally kept in an age-ordered ``pending`` list so the
 issue stage never rescans already-issued window slots.  Rename
@@ -140,10 +142,7 @@ class OutOfOrderCore:
     def run(self, *, check_invariants: bool = False) -> PipelineStats:
         """Simulate to completion and return the statistics."""
         trace = self.trace
-        (
-            pcs, addrs, free_masks, flags,
-            s_op, s_cls, s_dst, s_srcs,
-        ) = trace.hot_columns()
+        pcs, _, _, flags, s_op, s_cls, _, _ = trace.hot_columns()
         replay = trace.replay_rows()
         total = len(pcs)
         end_pc = trace.end_pc
@@ -402,7 +401,7 @@ class OutOfOrderCore:
             n_dispatched = 0
             while dispatch_pos < fetch_pos:
                 row = dispatch_pos
-                pc, fl, dst, packed, cls, addr = replay[row]
+                pc, fl, dst, packed, cls, addr, free_mask = replay[row]
                 if fl & F_DROP_MASK != F_PROGRAM:  # eliminated, or a kill
                     # Decoded, not dispatched.  Unmapping happens now
                     # (decode); the freed physical registers ride with the
@@ -411,7 +410,7 @@ class OutOfOrderCore:
                     # have committed.
                     dispatch_pos += 1
                     if fl & F_FREES:
-                        freed = unmap(free_masks[row])
+                        freed = unmap(free_mask)
                         if freed:
                             if window:
                                 tail = window[-1]
@@ -457,7 +456,7 @@ class OutOfOrderCore:
                     src2 = -1
                 if fl & F_FREES:
                     # I-DVI at calls/returns: unmap now, free at this commit.
-                    frees = unmap(free_masks[row]) or None
+                    frees = unmap(free_mask) or None
                 else:
                     frees = None
                 if dst >= 0:

@@ -25,11 +25,17 @@
  *   attach to the youngest in-flight entry and entries commit in order,
  *   so popping each committing entry's count off the FIFO front returns
  *   registers to the free list in the Python order.
+ * - The sparse address and free-mask columns are read through two
+ *   cursors that dispatch advances on every memory row and every freeing
+ *   row, dropped rows included; the Python core reads them spread over
+ *   the rows instead.
  *
  * The kernel keeps no global state (ctypes drops the GIL around the
  * call, so two threads may run it at once), and it checks every index
  * it will use before the loop starts: a bad trace row returns ST_BAD_TRACE
- * with the row number in results[0], never an out-of-bounds access.
+ * with the row number in results[0], and sparse columns whose lengths are
+ * not the trace's memory-row and freeing-row counts return it with the
+ * row count there, never an out-of-bounds access.
  */
 
 #include <stdint.h>
@@ -118,7 +124,7 @@ typedef struct {
 
 typedef struct {
     int64_t complete;  /* NEVER while un-issued */
-    int64_t addr;
+    int64_t addr;      /* -1 unless a load or store */
     int32_t src1, src2, dst_phys, prev_phys;
     int32_t nfrees;    /* registers this entry pops off the frees FIFO */
     int8_t cls;
@@ -201,7 +207,7 @@ static int32_t ring_pop(ring_t *ring)
 
 /* Renamer.unmap: unbind the mask's mapped registers, in register order,
  * into `freed`; returns how many. */
-static int32_t unmap(int32_t *arch_map, int64_t mask, ring_t *freed)
+static int32_t unmap(int32_t *arch_map, uint32_t mask, ring_t *freed)
 {
     int32_t arch, count = 0;
     for (arch = 1; arch < NUM_REGS; arch++) {
@@ -459,13 +465,21 @@ static int mispredicted(predictors_t *bp, int cls, int op, int32_t pc,
     }
 }
 
-/* The row number of the first row using an out-of-range index, or -1. */
-static int64_t first_bad_row(
-    const int32_t *pcs, const int64_t *free_masks, const uint8_t *flags,
-    int64_t total, const int8_t *s_cls, const int8_t *s_dst,
-    const int16_t *s_srcs, int64_t n_static)
+static int is_memory(int cls)
 {
-    int64_t row;
+    return cls == CLS_LOAD || cls == CLS_STORE;
+}
+
+/* The row number of the first row using an out-of-range index, `total`
+ * if the sparse columns do not hold one entry per memory row and per
+ * freeing row, or -1. */
+static int64_t first_bad_row(
+    const int32_t *pcs, int64_t n_addrs, const uint32_t *free_masks,
+    int64_t n_masks, const uint8_t *flags, int64_t total,
+    const int8_t *s_cls, const int8_t *s_dst, const int16_t *s_srcs,
+    int64_t n_static)
+{
+    int64_t row, memory_rows = 0, freeing_rows = 0;
     for (row = 0; row < total; row++) {
         int32_t pc = pcs[row];
         int cls, dst, packed, first, second;
@@ -484,20 +498,25 @@ static int64_t first_bad_row(
                     || second > NUM_REGS)
                 return row;
         }
-        if ((fl & F_FREES)
-                && ((uint64_t)free_masks[row] & ~(uint64_t)0xFFFFFFFEu))
-            return row;
+        if (fl & F_FREES) {
+            /* Bit 0 is r0, which has no mapping to free. */
+            if (freeing_rows < n_masks && (free_masks[freeing_rows] & 1))
+                return row;
+            freeing_rows++;
+        }
+        memory_rows += is_memory(cls);
         /* A dropped control row would never resolve its mispredict. */
         if ((cls == CLS_BRANCH || cls == CLS_JUMP)
                 && (fl & (F_ELIMINATED | F_PROGRAM)) != F_PROGRAM)
             return row;
     }
-    return -1;
+    return memory_rows == n_addrs && freeing_rows == n_masks ? -1 : total;
 }
 
 int repro_ooo_run(
     const int64_t *params, int64_t n_params,
-    const int32_t *pcs, const int64_t *addrs, const int64_t *free_masks,
+    const int32_t *pcs, const uint32_t *addrs, int64_t n_addrs,
+    const uint32_t *free_masks, int64_t n_masks,
     const uint8_t *flags, int64_t total, int64_t end_pc,
     const int8_t *s_op, const int8_t *s_cls, const int8_t *s_dst,
     const int16_t *s_srcs, int64_t n_static,
@@ -520,6 +539,7 @@ int repro_ooo_run(
     int status = ST_NO_MEMORY;
 
     int64_t dispatch_pos = 0, fetch_pos = 0, cycle = 0;
+    int64_t addr_pos = 0, mask_pos = 0;  /* the sparse columns' cursors */
     int64_t fetch_blocked_until = 0, unresolved = -1, last_line = -1;
     int64_t win_head = 0, win_len = 0, n_pending = 0;
     int64_t committed = 0, dispatched = 0, eliminated = 0;
@@ -558,14 +578,15 @@ int repro_ooo_run(
             || !power_of_two(params[P_L2_SETS])
             || params[P_L1I_ASSOC] < 1 || params[P_L1D_ASSOC] < 1
             || params[P_L2_ASSOC] < 1 || n_static < 0
-            || n_static > INT32_MAX || total < 0)
+            || n_static > INT32_MAX || total < 0 || n_addrs < 0
+            || n_masks < 0)
         return ST_BAD_PARAMS;
 
     status = predictors_init(&bp, params, n_static, total);
     if (status != ST_OK)
         goto done;
-    bad_row = first_bad_row(pcs, free_masks, flags, total,
-                            s_cls, s_dst, s_srcs, n_static);
+    bad_row = first_bad_row(pcs, n_addrs, free_masks, n_masks, flags,
+                            total, s_cls, s_dst, s_srcs, n_static);
     if (bad_row >= 0) {
         results[0] = bad_row;
         status = ST_BAD_TRACE;
@@ -719,6 +740,7 @@ int repro_ooo_run(
             int32_t rpc = pcs[r];
             int dst = s_dst[rpc];
             int packed = s_srcs[rpc];
+            int memory = is_memory(s_cls[rpc]);
             int32_t src1, src2, dst_phys, prev_phys, nfrees = 0;
             int64_t slot;
             entry_t *entry;
@@ -728,8 +750,9 @@ int repro_ooo_run(
                  * dispatched; its frees ride the youngest in-flight
                  * entry, or return at once when nothing is in flight. */
                 dispatch_pos++;
+                addr_pos += memory;
                 if (fl & F_FREES) {
-                    int32_t count = unmap(arch_map, free_masks[r],
+                    int32_t count = unmap(arch_map, free_masks[mask_pos++],
                                           win_len ? &frees : &free_list);
                     dvi_unmaps += count;
                     if (win_len)
@@ -765,7 +788,7 @@ int repro_ooo_run(
             }
             if (fl & F_FREES) {
                 /* I-DVI at a call/return: unmap now, free at its commit. */
-                nfrees = unmap(arch_map, free_masks[r], &frees);
+                nfrees = unmap(arch_map, free_masks[mask_pos++], &frees);
                 dvi_unmaps += nfrees;
             }
             if (dst >= 0) {
@@ -782,7 +805,7 @@ int repro_ooo_run(
             slot = WIN_SLOT(win_len);
             entry = &window[slot];
             entry->complete = NEVER;
-            entry->addr = addrs[r];
+            entry->addr = memory ? (int64_t)addrs[addr_pos++] : -1;
             entry->src1 = src1;
             entry->src2 = src2;
             entry->dst_phys = dst_phys;

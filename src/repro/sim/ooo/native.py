@@ -40,7 +40,7 @@ from repro.sim.cache.cache import CacheGeometry
 from repro.sim.config import MachineConfig
 from repro.sim.loader import KernelLoader
 from repro.sim.ooo.stats import PipelineStats
-from repro.sim.trace import COLUMNS, Trace
+from repro.sim.trace import COLUMNS, PC, ROW, Trace
 
 __all__ = [
     "KERNEL", "PARAMS", "PREDICTOR_KINDS", "RESULTS", "STATUSES",
@@ -123,12 +123,6 @@ _STATS_FIELDS = RESULTS[:-4]
 #: ``kernel.c``'s return codes (``ST_*``).
 STATUSES = ("ok", "bad_trace", "no_memory", "bad_params")
 
-#: The trace columns ``kernel.c`` reads, in its argument order: the
-#: dynamic ones (``end_pc`` follows them), then the static.
-_KERNEL_DYNAMIC = ("pcs", "addrs", "free_masks", "flags")
-_KERNEL_STATIC = ("s_op", "s_cls", "s_dst", "s_srcs")
-_TYPECODES = dict(COLUMNS)
-
 
 # ----------------------------------------------------------------------
 # Build and load.
@@ -141,7 +135,7 @@ _SIZE = "int64"
 KERNEL = KernelLoader(SOURCE, "ooo-kernel", "the native timing kernel", {
     "repro_ooo_run": ("int", [
         _POINTER, _SIZE,
-        _POINTER, _POINTER, _POINTER, _POINTER, _SIZE, _SIZE,
+        _POINTER, _POINTER, _SIZE, _POINTER, _SIZE, _POINTER, _SIZE, _SIZE,
         _POINTER, _POINTER, _POINTER, _POINTER, _SIZE,
         _POINTER, _SIZE,
     ]),
@@ -160,25 +154,35 @@ def run_kernel(library: Any, config: MachineConfig, trace: Trace) -> dict:
     params = (ctypes.c_int64 * len(values))(*values)
     results = (ctypes.c_int64 * len(RESULTS))()
 
-    dynamic = [getattr(trace, name) for name in _KERNEL_DYNAMIC]
-    static = [getattr(trace, name) for name in _KERNEL_STATIC]
-    typecodes = [_TYPECODES[name]
-                 for name in _KERNEL_DYNAMIC + _KERNEL_STATIC]
+    # The kernel takes every column's address in COLUMNS order, a sparse
+    # column's length after its address, the row count and end_pc after
+    # the dynamic columns, and the pc count after the static ones.  Each
+    # typecode is checked here, and each length a count in hand fixes; a
+    # sparse column's exact length needs its memory or freeing rows
+    # counted, which the kernel does in the pass that checks every row.
     total, n_static = len(trace.pcs), len(trace.s_cls)
-    if (any(len(col) != total for col in dynamic)
-            or any(len(col) != n_static for col in static)
-            or [col.typecode for col in dynamic + static] != typecodes):
-        raise SimulationError(
-            f"trace {trace.program_name!r} columns are not the columnar layout"
-        )
-    address = [col.buffer_info()[0] for col in dynamic + static]
+    lengths = {ROW: total, PC: n_static}
+    dynamic, static = [], []
+    for name, typecode, index in COLUMNS:
+        column = getattr(trace, name)
+        size = len(column)
+        sparse = index not in lengths
+        if (column.typecode != typecode
+                or (size > total if sparse else size != lengths[index])):
+            raise _not_columnar(trace)
+        arguments = static if index == PC else dynamic
+        arguments.append(column.buffer_info()[0])
+        if sparse:
+            arguments.append(size)
     status = library.repro_ooo_run(
         params, len(values),
-        *address[:4], total, trace.end_pc,
-        *address[4:], n_static,
+        *dynamic, total, trace.end_pc,
+        *static, n_static,
         results, len(RESULTS),
     )
     name = STATUSES[status] if 0 <= status < len(STATUSES) else None
+    if name == "bad_trace" and results[0] == total:
+        raise _not_columnar(trace)
     if name == "bad_trace":
         raise SimulationError(
             f"trace {trace.program_name!r} row {results[0]} has an "
@@ -191,6 +195,12 @@ def run_kernel(library: Any, config: MachineConfig, trace: Trace) -> dict:
             f"the timing kernel refused its parameters ({name or status})"
         )
     return dict(zip(RESULTS, results))
+
+
+def _not_columnar(trace: Trace) -> SimulationError:
+    return SimulationError(
+        f"trace {trace.program_name!r} columns are not the columnar layout"
+    )
 
 
 def simulate(config: MachineConfig, trace: Trace) -> Optional[PipelineStats]:

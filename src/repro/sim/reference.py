@@ -38,6 +38,7 @@ from repro.sim.trace import (
     FLAG_FREES,
     FLAG_PROGRAM,
     FLAG_TAKEN,
+    MEMORY_CLASSES,
     Trace,
     pack_srcs,
 )
@@ -125,8 +126,8 @@ class ReferenceSimulator:
         self._saveable = self.dvi_config.abi.saveable_mask()
         # The dynamic trace columns (:data:`repro.sim.trace.COLUMNS`).
         self._pcs = array("i")
-        self._addrs = array("q")
-        self._free_masks = array("q")
+        self._addrs = array("I")
+        self._free_masks = array("I")
         self._flags = array("B")
 
     def execute(self, budget: int) -> bool:
@@ -388,8 +389,10 @@ class ReferenceSimulator:
                 stats.program_insts += 1
             if collect_trace:
                 append_pc(pc)
-                append_addr(addr)
-                append_free(free_mask)
+                if d.cls in MEMORY_CLASSES:
+                    append_addr(addr)
+                if free_mask:
+                    append_free(free_mask)
                 append_flags(
                     (FLAG_TAKEN if taken else 0)
                     | (FLAG_ELIMINATED if eliminated else 0)

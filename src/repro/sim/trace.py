@@ -12,27 +12,39 @@ flags) decided in program order by the
 Storage layout (the perf-critical part): a :class:`Trace` is **columnar**.
 Million-row traces used to be lists of per-row ``TraceRecord`` heap
 objects; they are now parallel ``array`` columns — four *dynamic* columns
-with one entry per executed instruction, plus four small *static*
-side-tables indexed by ``pc`` for the per-instruction facts that never
-change between dynamic instances (opcode, class, destination, sources).
-This makes trace generation allocation-free per step, lets the timing
-core read plain ints straight out of flat buffers, and pickles as a
-handful of compact byte blobs instead of millions of objects.
-:data:`COLUMNS` is the one table of the eight columns and their array
-typecodes; construction, pickling, the replay views and the native
-timing kernel's layout check all read it.
+filled as instructions execute, plus four small *static* side-tables
+indexed by ``pc`` for the per-instruction facts that never change between
+dynamic instances (opcode, class, destination, sources).  The dynamic
+columns are **sparse** where the fact is: ``pcs`` and ``flags`` hold one
+entry per row, ``addrs`` one per *memory row* (static class LOAD or
+STORE) and ``free_masks`` one per *freeing row* (``FLAG_FREES`` set), so
+a row costs about 6.6 bytes instead of the 21 a dense layout spends
+mostly on empty slots.  This makes trace generation allocation-free per
+step, lets the timing core read plain ints straight out of flat buffers,
+and pickles as a handful of compact byte blobs instead of millions of
+objects.  :data:`COLUMNS` is the one table of the eight columns, their
+array typecodes and what indexes each; construction, pickling, the row
+view and the native timing kernel's layout check all read it.
 
 Columns:
 
-==============  ========  ====================================================
-column          typecode  contents (one entry per dynamic instruction)
-==============  ========  ====================================================
-``pcs``         ``i``     static instruction index (byte address = ``4*pc``)
-``addrs``       ``q``     byte address touched, or -1 for non-memory ops
-``free_masks``  ``q``     architectural registers whose physical mappings
-                          may be reclaimed when the row commits
-``flags``       ``B``     bit 0 taken, bit 1 eliminated, bit 2 is-program
-==============  ========  ====================================================
+==============  ========  ===============  ===================================
+column          typecode  one entry per    contents
+==============  ========  ===============  ===================================
+``pcs``         ``i``     row              static instruction index (byte
+                                           address = ``4*pc``)
+``addrs``       ``I``     memory row       byte address touched
+``free_masks``  ``I``     freeing row      architectural registers whose
+                                           physical mappings may be
+                                           reclaimed when the row commits
+``flags``       ``B``     row              bit 0 taken, bit 1 eliminated,
+                                           bit 2 is-program, bit 3 frees
+==============  ========  ===============  ===================================
+
+Every memory row has an address: LW/SW/LB/SB/LIVE_SW/LIVE_LW always
+compute one, masked to 32 bits, so no row needs a "none" marker.  The
+replayers walk ``addrs`` and ``free_masks`` with one cursor each,
+advanced on every memory row and every freeing row in row order.
 
 A row's successor is the next row's pc, so no column stores it; the one
 scalar ``end_pc`` says what would run after the last row: -1 after
@@ -52,8 +64,9 @@ program, executed or not:
 The **row-view shim**: ``trace.records`` yields a read-only list of
 :class:`TraceRecord` objects, materialized lazily from the columns, so
 tests and ad-hoc analysis code read rows without the hot paths paying
-for per-row objects.  A trace is built once, from its columns, and
-never re-encoded.
+for per-row objects.  A row view reports every row's ``addr`` (-1 off
+the memory rows) and ``free_mask`` (0 off the freeing rows).  A trace
+is built once, from its columns, and never re-encoded.
 """
 
 from __future__ import annotations
@@ -69,26 +82,42 @@ from repro.isa.opcodes import OpClass, Opcode
 FLAG_TAKEN = 1
 FLAG_ELIMINATED = 2
 FLAG_PROGRAM = 4
-#: Set iff the row's ``free_mask`` is non-zero, so replay loops can skip
-#: the ``free_masks`` column read for the ~95% of rows that free nothing.
+#: Set iff the row's free mask is non-zero, that is iff the row has an
+#: entry in the ``free_masks`` column.
 FLAG_FREES = 8
 
 #: Trace storage-format version.  Baked into the experiment cache keys so
-#: artifacts of an older layout can never be confused with this one.
-TRACE_FORMAT = 3
+#: artifacts of an older layout can never be confused with this one, and
+#: checked on unpickling, which refuses any other format.
+TRACE_FORMAT = 4
 
-#: The columns, ``(attribute, array typecode)``: four dynamic ones (one
-#: entry per row), then four static side-tables (one entry per pc).
+#: What a column holds one entry for: every row, every memory row (static
+#: class LOAD or STORE), every freeing row (``FLAG_FREES`` set), or every
+#: static instruction.
+ROW = "row"
+MEMORY_ROW = "memory row"
+FREEING_ROW = "freeing row"
+PC = "pc"
+
+#: The columns, ``(attribute, array typecode, indexed by)``: four dynamic
+#: ones, then four static side-tables.
 COLUMNS = (
-    ("pcs", "i"),
-    ("addrs", "q"),
-    ("free_masks", "q"),
-    ("flags", "B"),
-    ("s_op", "b"),
-    ("s_cls", "b"),
-    ("s_dst", "b"),
-    ("s_srcs", "h"),
+    ("pcs", "i", ROW),
+    ("addrs", "I", MEMORY_ROW),
+    ("free_masks", "I", FREEING_ROW),
+    ("flags", "B", ROW),
+    ("s_op", "b", PC),
+    ("s_cls", "b", PC),
+    ("s_dst", "b", PC),
+    ("s_srcs", "h", PC),
 )
+
+#: What a sparse column reads, spread over every row, where it skips.
+ABSENT = {MEMORY_ROW: -1, FREEING_ROW: 0}
+_INDEX = {name: index for name, _, index in COLUMNS}
+
+#: The op classes of the memory rows.
+MEMORY_CLASSES = (int(OpClass.LOAD), int(OpClass.STORE))
 
 _OPCODES = tuple(Opcode)
 _OP_CLASSES = tuple(OpClass)
@@ -125,7 +154,8 @@ class TraceRecord:
         cls: Operation class (functional unit / latency selector).
         dst: Destination architectural register, or -1.
         srcs: Source architectural registers (r0 excluded).
-        addr: Byte address touched, or -1 for non-memory ops.
+        addr: Byte address touched, or -1 off the memory rows (classes
+            other than LOAD and STORE).
         taken: For control transfers, whether the transfer was taken.
         next_pc: Static index of the next executed instruction (the next
             row's pc, or the trace's ``end_pc`` on the last row).
@@ -214,7 +244,7 @@ class Trace:
 
     __slots__ = (
         "program_name", "dvi", "completed", "end_pc",
-        *(name for name, _ in COLUMNS),
+        *(name for name, _, _ in COLUMNS),
         "_rows", "_program_insts", "_hot", "_replay",
     )
 
@@ -233,7 +263,7 @@ class Trace:
         self.completed = completed
         #: What would run after the last row (see the module docstring).
         self.end_pc = end_pc
-        for name, typecode in COLUMNS:
+        for name, typecode, _ in COLUMNS:
             setattr(self, name, columns.pop(name, None) or array(typecode))
         if columns:
             raise TypeError(f"unknown trace columns: {', '.join(columns)}")
@@ -245,6 +275,38 @@ class Trace:
     # ------------------------------------------------------------------
     # The row-view shim.
     # ------------------------------------------------------------------
+
+    def per_row(self, name: str) -> List[int]:
+        """Sparse column ``name`` with one entry per row.
+
+        Spread over the rows its :data:`COLUMNS` index names, it reads
+        :data:`ABSENT` of that index elsewhere (-1 off the memory rows,
+        0 off the freeing rows).
+        """
+        index = _INDEX[name]
+        if index == MEMORY_ROW:
+            is_memory = [cls in MEMORY_CLASSES for cls in self.s_cls]
+            present = [is_memory[pc] for pc in self.pcs]
+        elif index == FREEING_ROW:
+            present = [fl & FLAG_FREES for fl in self.flags]
+        else:
+            raise ValueError(f"{name!r} is not a sparse trace column")
+        absent = ABSENT[index]
+        entries = iter(getattr(self, name))
+        take = entries.__next__
+        try:
+            spread = [take() if hit else absent for hit in present]
+        except StopIteration:
+            spread = None
+        if spread is None or next(entries, None) is not None:
+            # Imported here: the CLI imports this module, never the error.
+            from repro.errors import SimulationError
+
+            raise SimulationError(
+                f"trace {self.program_name!r} columns are not the columnar "
+                "layout"
+            )
+        return spread
 
     def _materialize(self) -> List[TraceRecord]:
         opcodes = _OPCODES
@@ -259,7 +321,8 @@ class Trace:
         append = rows.append
         seq = 0
         for pc, addr, next_pc, free_mask, fl in zip(
-            pcs, self.addrs, successors, self.free_masks, self.flags
+            pcs, self.per_row("addrs"), successors,
+            self.per_row("free_masks"), self.flags,
         ):
             eliminated = bool(fl & FLAG_ELIMINATED)
             append(
@@ -319,7 +382,8 @@ class Trace:
         return sum(1 for fl in self.flags if not fl & FLAG_PROGRAM)
 
     def hot_columns(self) -> tuple:
-        """The eight columns as plain lists, for replay loops.
+        """The eight columns as plain lists, for replay loops (``addrs``
+        and ``free_masks`` as sparse as they are stored).
 
         ``array`` indexing boxes a fresh int object on every read; the
         timing core reads each row's columns a dozen times, so it replays
@@ -331,26 +395,33 @@ class Trace:
         free_masks, flags, s_op, s_cls, s_dst, s_srcs)``.
         """
         if self._hot is None:
-            self._hot = tuple(list(getattr(self, name)) for name, _ in COLUMNS)
+            self._hot = tuple(
+                list(getattr(self, name)) for name, _, _ in COLUMNS
+            )
         return self._hot
 
     def replay_rows(self) -> list:
-        """Per-row ``(pc, flags, dst, packed_srcs, cls, addr)`` tuples.
+        """Per-row ``(pc, flags, dst, packed_srcs, cls, addr, free_mask)``
+        tuples, ``addr`` -1 and ``free_mask`` 0 where the row has none.
 
-        The timing core's fetch/dispatch stages need these six facts for
-        every row; pre-joining them turns six column subscripts per row
-        into one subscript plus a tuple unpack.  Built once per trace and
+        The timing core's dispatch stage needs these seven facts for
+        every row; pre-joining them turns seven column reads per row
+        (two of them through the sparse columns' cursors) into one
+        subscript plus a tuple unpack.  Built once per trace and
         memoized, like :meth:`hot_columns`, because timing sweeps replay
         the same trace under many machine configurations.
         """
         if self._replay is None:
             (
-                pcs, addrs, _free_masks, flags,
+                pcs, _addrs, _free_masks, flags,
                 _s_op, s_cls, s_dst, s_srcs,
             ) = self.hot_columns()
             self._replay = [
-                (pc, fl, s_dst[pc], s_srcs[pc], s_cls[pc], addr)
-                for pc, fl, addr in zip(pcs, flags, addrs)
+                (pc, fl, s_dst[pc], s_srcs[pc], s_cls[pc], addr, free_mask)
+                for pc, fl, addr, free_mask in zip(
+                    pcs, flags, self.per_row("addrs"),
+                    self.per_row("free_masks"),
+                )
             ]
         return self._replay
 
@@ -377,16 +448,20 @@ class Trace:
             "completed": self.completed,
             "end_pc": self.end_pc,
         }
-        for name, _ in COLUMNS:
+        for name, _, _ in COLUMNS:
             state[name] = getattr(self, name)
         return state
 
     def __setstate__(self, state: dict) -> None:
-        # A payload missing a field (an older format) raises KeyError,
-        # and the artifact cache heals the file instead of serving it.
+        # A payload of another format, or missing a field, raises, and
+        # the artifact cache heals the file instead of serving it.
+        if state["format"] != TRACE_FORMAT:
+            raise ValueError(
+                f"trace format {state['format']} is not {TRACE_FORMAT}"
+            )
         self.__init__(
             state["program_name"], state["dvi"], state["completed"],
-            state["end_pc"], **{name: state[name] for name, _ in COLUMNS},
+            state["end_pc"], **{name: state[name] for name, _, _ in COLUMNS},
         )
 
     def __repr__(self) -> str:  # pragma: no cover

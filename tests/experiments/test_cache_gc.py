@@ -50,7 +50,7 @@ class TestGC:
         cache = ArtifactCache(tmp_path, version="v1")
         old = cache.store("trace", ("old",), "data")
         new = cache.store("trace", ("new",), "data")
-        old_path = tmp_path / "trace" / old[:2] / f"{old}.pkl"
+        old_path = cache._path("trace", old)
         past = time.time() - 1000.0
         os.utime(old_path, (past, past))
 
@@ -64,7 +64,7 @@ class TestGC:
         digests = _fill(cache, "trace", 4)
         now = time.time()
         for age, digest in enumerate(digests):
-            path = tmp_path / "trace" / digest[:2] / f"{digest}.pkl"
+            path = cache._path("trace", digest)
             stamp = now - (len(digests) - age) * 100.0
             os.utime(path, (stamp, stamp))
         total = sum(entry.size for entry in cache.entries())
@@ -77,13 +77,13 @@ class TestGC:
 
     def test_stale_tmp_files_swept(self, tmp_path):
         cache = ArtifactCache(tmp_path, version="v1")
-        cache.store("trace", ("k",), "data")
-        crashed = tmp_path / "trace" / "ab" / "crashed-writer.tmp"
-        crashed.parent.mkdir(parents=True, exist_ok=True)
+        digest = cache.store("trace", ("k",), "data")
+        # A writer's temp file sits beside the artifact it replaces.
+        crashed = cache._path("trace", digest).with_name("crashed-writer.tmp")
         crashed.write_bytes(b"partial")
         past = time.time() - 7200.0
         os.utime(crashed, (past, past))
-        fresh = tmp_path / "trace" / "ab" / "live-writer.tmp"
+        fresh = crashed.with_name("live-writer.tmp")
         fresh.write_bytes(b"in-flight")
 
         report = cache.gc(max_age=10 ** 9)

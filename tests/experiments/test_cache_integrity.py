@@ -23,7 +23,7 @@ from repro.experiments.cache import ArtifactCache, canonical, fingerprint
 
 
 def _artifact_path(cache, kind, digest):
-    return cache.root / kind / digest[:2] / f"{digest}.pkl"
+    return cache._path(kind, digest)
 
 
 def _corrupt(cache, kind, digest, payload=b"\x80\x04 torn"):

@@ -231,8 +231,7 @@ class TestSharedTierCrashInjection:
         heals them and recomputes instead of serving garbage."""
         writer = _tiered(tmp_path, "writer")
         digest = writer.store("service", ("k",), "document")
-        torn = (tmp_path / "shared" / "service" / digest[:2]
-                / f"{digest}.pkl")
+        torn = writer.shared._path("service", digest)
         torn.write_bytes(pickle.dumps("document")[:7])
 
         reader = _tiered(tmp_path, "reader")

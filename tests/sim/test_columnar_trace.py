@@ -5,13 +5,18 @@ from array import array
 
 import pytest
 
+from repro.__main__ import EXPERIMENTS
 from repro.dvi.config import DVIConfig, SRScheme
+from repro.errors import SimulationError
 from repro.experiments.cache import ArtifactCache
+from repro.experiments.runner import ExperimentContext, ExperimentProfile
 from repro.isa.opcodes import OpClass, Opcode
 from repro.isa import registers as R
 from repro.program.builder import ProgramBuilder
 from repro.rewrite.edvi import insert_edvi
-from repro.sim.functional import FunctionalSimulator, run_program
+from repro.sim.functional import FunctionalSimulator, run_program, simulator
+from repro.sim import functional_native
+from repro.sim.functional_native import NativeFunctionalSimulator
 from repro.sim.reference import ReferenceSimulator
 from repro.sim.trace import (
     COLUMNS,
@@ -19,6 +24,10 @@ from repro.sim.trace import (
     FLAG_FREES,
     FLAG_PROGRAM,
     FLAG_TAKEN,
+    FREEING_ROW,
+    MEMORY_ROW,
+    PC,
+    ROW,
     TRACE_FORMAT,
     Trace,
     pack_srcs,
@@ -36,6 +45,39 @@ def eliminating_trace():
     """A trace exercising every column: kills, eliminations, branches."""
     program = insert_edvi(get_program("li_like", 1)).program
     return run_program(program, DVIConfig.full(SRScheme.LVM_STACK)).trace
+
+
+#: The tiny profile's workloads, each as the plain binary under no DVI
+#: and as the E-DVI binary under every mechanism (kills, call/return
+#: frees, eliminated saves and restores).
+TINY_RUNS = [
+    pytest.param(workload, edvi, dvi, id=f"{workload}-{name}")
+    for workload in ExperimentProfile.tiny().workloads
+    for name, edvi, dvi in (
+        ("plain", False, DVIConfig.none()),
+        ("edvi-full", True, DVIConfig.full(SRScheme.LVM_STACK)),
+    )
+]
+
+
+def tiny_program(workload, edvi):
+    program = get_program(workload, ExperimentProfile.tiny().scale)
+    return insert_edvi(program).program if edvi else program
+
+
+def lvm_program():
+    """A loop that stores and reloads the LVM: NOP-class memory touches."""
+    b = ProgramBuilder("lvm")
+    with b.proc("main"):
+        b.li(R.T0, 3)
+        b.label("top")
+        b.lvm_save(0, R.SP)
+        b.sw(R.T0, -4, R.SP)
+        b.lvm_load(0, R.SP)
+        b.addi(R.T0, R.T0, -1)
+        b.bgtz(R.T0, "top")
+        b.epilogue()
+    return b.build()
 
 
 def assert_rows_equal(mine, theirs):
@@ -137,15 +179,15 @@ class TestPickling:
     def test_state_holds_exactly_the_table_columns(self):
         trace = eliminating_trace()
         state = trace.__reduce_ex__(pickle.HIGHEST_PROTOCOL)[2]
-        assert set(state) == {name for name, _ in COLUMNS} | {
+        assert set(state) == {name for name, _, _ in COLUMNS} | {
             "format", "program_name", "dvi", "completed", "end_pc",
         }
         assert state["format"] == TRACE_FORMAT
-        for name, typecode in COLUMNS:
+        for name, typecode, _ in COLUMNS:
             assert state[name].typecode == typecode
 
     @pytest.mark.parametrize(
-        "field", [name for name, _ in COLUMNS] + ["end_pc"]
+        "field", [name for name, _, _ in COLUMNS] + ["end_pc"]
     )
     def test_payload_missing_a_field_raises(self, field):
         state = eliminating_trace().__getstate__()
@@ -169,7 +211,133 @@ class TestPickling:
 
         assert cache.lookup("trace", key) == (False, None)
         assert cache.counters["trace"].corrupt == 1
-        assert not (tmp_path / "trace" / digest[:2] / f"{digest}.pkl").exists()
+        assert not cache._path("trace", digest).exists()
+
+    def test_format_3_payload_is_healed_by_the_cache(self, tmp_path,
+                                                     monkeypatch):
+        """A stored trace of the dense layout (an ``addrs`` and a
+        ``free_masks`` entry on every row, as int64s) has every field
+        format 4 reads, and is still refused: a miss, tallied, unlinked."""
+        cache = ArtifactCache(tmp_path, version="test")
+        trace = eliminating_trace()
+        state = trace.__getstate__()
+        state["format"] = 3
+        state["addrs"] = array("q", trace.per_row("addrs"))
+        state["free_masks"] = array("q", trace.per_row("free_masks"))
+        monkeypatch.setattr(Trace, "__getstate__", lambda self: state)
+        key = ("wl", 1, True, trace.dvi, 3)
+        digest = cache.store("trace", key, trace)
+        monkeypatch.undo()
+
+        assert cache.lookup("trace", key) == (False, None)
+        assert cache.counters["trace"].corrupt == 1
+        assert not cache._path("trace", digest).exists()
+
+
+def engine_traces(program, dvi):
+    """The trace of each engine: native, per-pc, reference."""
+    native = simulator(program, dvi)
+    if not isinstance(native, NativeFunctionalSimulator):
+        pytest.skip("native functional engine unavailable: "
+                    f"{functional_native.ENGINE.reason}")
+    return {
+        "native": native.run().trace,
+        "per-pc": FunctionalSimulator(program, dvi).run().trace,
+        "reference": ReferenceSimulator(program, dvi).run().trace,
+    }
+
+
+def dense_rows(program, dvi):
+    """Each row's ``(addr, free_mask)`` as a format-3 trace stored them:
+    the values the per-pc engine's handlers return, recorded row by row."""
+    sim = FunctionalSimulator(program, dvi)
+    recorded = []
+
+    def recording(handler):
+        def run():
+            result = handler()
+            recorded.append((result[1], result[3]))
+            return result
+        return run
+
+    sim._handlers = [recording(handler) for handler in sim._handlers]
+    sim.run()
+    return recorded
+
+
+class TestSparseColumns:
+    """Format 4: ``addrs`` on memory rows only, ``free_masks`` on
+    freeing rows only."""
+
+    def test_columns_table_names_every_index(self):
+        assert [(name, index) for name, _, index in COLUMNS] == [
+            ("pcs", ROW), ("addrs", MEMORY_ROW), ("free_masks", FREEING_ROW),
+            ("flags", ROW), ("s_op", PC), ("s_cls", PC), ("s_dst", PC),
+            ("s_srcs", PC),
+        ]
+
+    @pytest.mark.parametrize(
+        "workload, edvi, dvi",
+        TINY_RUNS + [pytest.param("lvm", False, DVIConfig.none(), id="lvm")],
+    )
+    def test_one_entry_per_memory_row_and_per_freeing_row(
+            self, workload, edvi, dvi):
+        program = (lvm_program() if workload == "lvm"
+                   else tiny_program(workload, edvi))
+        traces = engine_traces(program, dvi)
+        for engine, trace in traces.items():
+            classes = [trace.s_cls[pc] for pc in trace.pcs]
+            memory = sum(cls in (OpClass.LOAD, OpClass.STORE)
+                         for cls in classes)
+            freeing = sum(1 for fl in trace.flags if fl & FLAG_FREES)
+            assert (len(trace.addrs), len(trace.free_masks)) == (
+                memory, freeing), engine
+            assert all(trace.free_masks), engine
+            assert trace.addrs.typecode == trace.free_masks.typecode == "I"
+        native = pickle.dumps(traces["native"])
+        assert all(pickle.dumps(trace) == native for trace in traces.values())
+
+    def test_nop_class_memory_touches_keep_no_address(self):
+        trace = run_program(lvm_program()).trace
+        lvm_rows = [row for row in trace.records
+                    if row.op in (Opcode.LVM_SAVE, Opcode.LVM_LOAD)]
+        assert len(lvm_rows) == 6
+        assert all(row.addr == -1 for row in lvm_rows)
+        assert len(trace.addrs) == 3  # the three sw
+
+    @pytest.mark.parametrize("workload, edvi, dvi", TINY_RUNS)
+    def test_row_view_reports_the_dense_values(self, workload, edvi, dvi):
+        """The row view's ``addr`` (-1 off the memory rows) and
+        ``free_mask`` (0 off the freeing rows) are format 3's."""
+        program = tiny_program(workload, edvi)
+        trace = run_program(program, dvi).trace
+        expected = dense_rows(program, dvi)
+        assert [(row.addr, row.free_mask) for row in trace.records] == expected
+        assert trace.addrs
+        if edvi:
+            assert trace.free_masks, "the E-DVI run frees registers"
+
+    @pytest.mark.parametrize("name", ["addrs", "free_masks"])
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_row_view_refuses_a_mismatched_sparse_column(self, name, change):
+        trace = eliminating_trace()
+        column = getattr(trace, name)
+        setattr(trace, name, column[:-1] if change == "drop"
+                else column + array(column.typecode, [2]))
+        with pytest.raises(SimulationError, match="not the columnar layout"):
+            trace.records
+
+    def test_cold_tiny_run_all_stores_under_5_5_mb_of_traces(self, tmp_path):
+        """Format 3 stored 15.6 MB of trace pickles on this run."""
+        profile = ExperimentProfile.tiny()
+        cache = ArtifactCache(tmp_path, version="test")
+        context = ExperimentContext(profile, cache=cache)
+        for module, _ in EXPERIMENTS.values():
+            module.run(profile, context)
+        sizes = [entry.size for entry in cache.entries()
+                 if entry.kind == "trace"]
+        assert len(sizes) == 16
+        assert sum(sizes) <= 5_500_000
 
 
 class TestEdgeCases:

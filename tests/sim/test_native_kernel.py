@@ -236,20 +236,24 @@ from repro.errors import SimulationError
 from repro.sim.config import MachineConfig
 from repro.sim.functional import run_program
 from repro.sim.ooo import native
-from repro.sim.trace import FLAG_FREES
 from repro.workloads.suite import get_program
 
 config = MachineConfig.micro97()
 entry = native.KERNEL.load()
 assert entry is not None, native.KERNEL.reason
 program = get_program("vortex_like", 1)
+ROW = "out-of-range"
+LAYOUT = "not the columnar layout"
 
 
 def fresh():
-    trace = run_program(program, DVIConfig.none(), collect_trace=True).trace
-    for name in ("pcs", "flags", "free_masks", "s_dst", "s_srcs"):
+    # I-DVI frees registers at every call and return.
+    trace = run_program(program, DVIConfig.idvi_only(),
+                        collect_trace=True).trace
+    for name in ("pcs", "addrs", "flags", "free_masks", "s_dst", "s_srcs"):
         column = getattr(trace, name)
         setattr(trace, name, array(column.typecode, column))
+    assert trace.addrs and trace.free_masks
     return trace
 
 
@@ -271,25 +275,35 @@ def source_32(t):
 def second_source_32(t):
     t.s_srcs[t.pcs[7]] = 2 | 33 << 6
 
-def free_mask_bit_40(t):
-    t.flags[7] |= FLAG_FREES
-    t.free_masks[7] = 1 << 40
-
 def free_mask_bit_0(t):
-    t.flags[7] |= FLAG_FREES
-    t.free_masks[7] = 1
+    t.free_masks[len(t.free_masks) // 2] |= 1
 
-def short_column(t):
+def one_address_too_few(t):
+    t.addrs = t.addrs[:-1]
+
+def one_address_too_many(t):
+    t.addrs.append(0x1000)
+
+def one_mask_too_few(t):
     t.free_masks = t.free_masks[:-1]
 
+def one_mask_too_many(t):
+    t.free_masks.append(2)
+
+def short_column(t):
+    t.flags = t.flags[:-1]
+
 def foreign_typecode(t):
-    t.addrs = array("l", t.addrs)
+    t.addrs = array("q", t.addrs)
 
 
-for corrupt in (pc_past_the_table, negative_pc, destination_32,
-                destination_r0, source_32, second_source_32,
-                free_mask_bit_40, free_mask_bit_0, short_column,
-                foreign_typecode):
+for corrupt, text in (
+        (pc_past_the_table, ROW), (negative_pc, ROW), (destination_32, ROW),
+        (destination_r0, ROW), (source_32, ROW), (second_source_32, ROW),
+        (free_mask_bit_0, ROW), (one_address_too_few, LAYOUT),
+        (one_address_too_many, LAYOUT), (one_mask_too_few, LAYOUT),
+        (one_mask_too_many, LAYOUT), (short_column, LAYOUT),
+        (foreign_typecode, LAYOUT)):
     trace = fresh()
     corrupt(trace)
     # Through the kernel's own checks, then through simulate().
@@ -297,8 +311,9 @@ for corrupt in (pc_past_the_table, negative_pc, destination_32,
                 lambda: native.simulate(config, trace)):
         try:
             run()
-        except SimulationError:
-            pass
+        except SimulationError as error:
+            if text not in str(error):
+                raise SystemExit(f"{corrupt.__name__}: {error}")
         else:
             raise SystemExit(f"{corrupt.__name__}: no SimulationError")
     print(corrupt.__name__)
@@ -352,8 +367,8 @@ class TestRobustness:
             env=dict(os.environ, PYTHONPATH=str(SRC)),
             capture_output=True, text=True, timeout=120,
         )
-        assert result.returncode == 0, result.stderr
-        assert len(result.stdout.split()) == 10
+        assert result.returncode == 0, result.stderr + result.stdout
+        assert len(result.stdout.split()) == 13
 
     def test_bad_predictor_geometry_raises(self):
         """The kernel refuses a predictor geometry it cannot index, even
