@@ -23,8 +23,22 @@ trajectory of the simulator is tracked in-tree, PR over PR:
 * **run-all** — wall-clock seconds of ``python -m repro run-all`` on a
   chosen profile, cold (fresh cache directory; everything simulated and
   stored) and warm (second invocation; everything replayed from the
-  artifact cache), plus the cold run's peak RSS and the bytes of the
-  trace pickles it stored.
+  artifact cache), each the median of ``RUN_ALL_RUNS`` invocations,
+  plus the cold runs' median peak RSS and the bytes of the trace
+  pickles a cold run stored.
+
+**Host speed.** Every sample is bracketed by a fixed pure-Python probe
+loop timed in this thread's CPU time, the method of perfbench's
+speedometer (copied here, not imported, so the file runs on trees
+without perfbench).  The probe's mean speed over the two relative to
+``NOMINAL_PROBE_MS`` scales the sample, so a scaled time reads as if
+the host had run at the nominal speed throughout.  Every time is
+reported both as measured and scaled (``scaled_*``), and the
+``speedup`` ratios come from the scaled figures.  Three comparisons of
+one tree against itself (``--profile quick``, one CPU of a 2-vCPU host)
+read ``run_all_cold`` 0.84, 1.02 and 1.22 as measured and 0.92–0.94
+scaled; the hot loops' samples last 1–4 ms, and their scaled ratios
+still spread 0.76–1.11 over the same comparisons.
 
 Usage::
 
@@ -53,6 +67,7 @@ import os
 import pickle
 import platform
 import shutil
+import statistics
 import subprocess
 import sys
 import tempfile
@@ -77,10 +92,48 @@ HOT_WORKLOAD = "li_like"
 #: Repetitions for the hot-loop measurements; the best time is reported
 #: (standard practice: the minimum is the least noise-contaminated).
 REPEATS = 3
+#: Cold and warm ``run-all`` invocations behind each reported median.
+RUN_ALL_RUNS = 5
+#: One host-speed probe: a pure-Python loop of this length, timed in
+#: the calling thread's CPU time.
+PROBE_ITERATIONS = 100_000
+#: What one probe takes at the nominal host speed.
+NOMINAL_PROBE_MS = 10.0
 
 
-def _best(measure, repeats: int = REPEATS) -> float:
-    return min(measure() for _ in range(repeats))
+def _probe_ms() -> float:
+    """CPU milliseconds of one ``PROBE_ITERATIONS`` probe loop."""
+    started = time.thread_time()
+    acc = 0
+    for i in range(PROBE_ITERATIONS):
+        acc += i * i % 7
+    return (time.thread_time() - started) * 1000.0
+
+
+def _sample(measure):
+    """``(measure(), speed)``, the host's speed relative to nominal
+    taken from probes just before and just after the call; a time
+    times that speed reads as if the host had run at nominal speed."""
+    before = _probe_ms()
+    result = measure()
+    return result, statistics.fmean(
+        NOMINAL_PROBE_MS / ms for ms in (before, _probe_ms()))
+
+
+def _best(measure, repeats: int = REPEATS):
+    """The fastest measured and the fastest scaled of ``repeats`` samples."""
+    samples = [_sample(measure) for _ in range(repeats)]
+    return (min(seconds for seconds, _ in samples),
+            min(seconds * speed for seconds, speed in samples))
+
+
+def _rate(count: int, seconds: float, scaled: float) -> dict:
+    return {
+        "seconds": round(seconds, 4),
+        "scaled_seconds": round(scaled, 4),
+        "insts_per_sec": round(count / seconds),
+        "scaled_insts_per_sec": round(count / scaled),
+    }
 
 
 def bench_functional(*, collect_trace: bool, engine=run_program) -> dict:
@@ -99,12 +152,8 @@ def bench_functional(*, collect_trace: bool, engine=run_program) -> dict:
         insts = result.stats.program_insts
         return elapsed
 
-    elapsed = _best(measure)
-    return {
-        "instructions": insts,
-        "seconds": round(elapsed, 4),
-        "insts_per_sec": round(insts / elapsed),
-    }
+    elapsed, scaled = _best(measure)
+    return {"instructions": insts, **_rate(insts, elapsed, scaled)}
 
 
 def bench_timing(engine) -> dict:
@@ -130,12 +179,8 @@ def bench_timing(engine) -> dict:
         committed = stats.committed
         return elapsed
 
-    elapsed = _best(measure)
-    return {
-        "instructions": committed,
-        "seconds": round(elapsed, 4),
-        "insts_per_sec": round(committed / elapsed),
-    }
+    elapsed, scaled = _best(measure)
+    return {"instructions": committed, **_rate(committed, elapsed, scaled)}
 
 
 #: Runs ``sys.argv[1:]`` with its output discarded, exits with its
@@ -159,69 +204,76 @@ sys.exit(os.waitstatus_to_exitcode(status))
 
 
 def bench_run_all(profile: str) -> dict:
-    """Cold then warm ``run-all`` wall time against a fresh cache dir.
+    """Median cold and warm ``run-all`` wall times over fresh cache dirs.
 
-    Run after the hot loops, which build both native engines, so the
-    cold run's peak RSS counts no compiler.
+    Each of ``RUN_ALL_RUNS`` rounds runs cold into a fresh cache
+    directory, then warm against it.  Run after the hot loops, which
+    build both native engines, so a cold run's peak RSS counts no
+    compiler.
     """
-    cache_dir = tempfile.mkdtemp(prefix="bench-simcore-cache-")
     env = dict(os.environ)
     env["PYTHONPATH"] = str(SRC) + (
         os.pathsep + env["PYTHONPATH"] if env.get("PYTHONPATH") else ""
     )
-    command = [
-        sys.executable, "-m", "repro", "run-all",
-        "--profile", profile, "--cache-dir", cache_dir,
-    ]
-    try:
-        runs = []
-        for _ in range(2):  # first: cold, second: warm replay
-            run = subprocess.run(
-                [sys.executable, "-c", _MEASURED, *command], env=env,
-                check=True, stdout=subprocess.PIPE, text=True,
+    samples = {"cold": [], "warm": []}  # (seconds, scaled, peak KiB)
+    for _ in range(RUN_ALL_RUNS):
+        cache_dir = tempfile.mkdtemp(prefix="bench-simcore-cache-")
+        command = [
+            sys.executable, "-c", _MEASURED, sys.executable, "-m", "repro",
+            "run-all", "--profile", profile, "--cache-dir", cache_dir,
+        ]
+
+        def measure():
+            run = subprocess.run(command, env=env, check=True,
+                                 stdout=subprocess.PIPE, text=True)
+            return run.stdout.split()
+
+        try:
+            for phase in ("cold", "warm"):
+                (rss_kib, seconds), speed = _sample(measure)
+                samples[phase].append(
+                    (float(seconds), float(seconds) * speed, int(rss_kib)))
+            # Either artifact layout, so older revisions measure too.
+            trace_bytes = sum(
+                path.stat().st_size
+                for path in Path(cache_dir, "trace").rglob("*.pkl")
             )
-            rss_kib, seconds = run.stdout.split()
-            runs.append((int(rss_kib), float(seconds)))
-            if len(runs) == 1:
-                # Either artifact layout, so older revisions measure too.
-                trace_bytes = sum(
-                    path.stat().st_size
-                    for path in Path(cache_dir, "trace").rglob("*.pkl")
-                )
-    finally:
-        shutil.rmtree(cache_dir, ignore_errors=True)
-    (cold_rss_kib, cold_seconds), (_, warm_seconds) = runs
-    return {
-        "profile": profile,
-        "cold_seconds": round(cold_seconds, 2),
-        "warm_seconds": round(warm_seconds, 2),
-        "cold_rss_peak_mb": round(cold_rss_kib / 1024, 1),
-        "cold_trace_bytes": trace_bytes,
-    }
+        finally:
+            shutil.rmtree(cache_dir, ignore_errors=True)
+    report = {"profile": profile, "runs": RUN_ALL_RUNS}
+    for phase, runs in samples.items():
+        report[f"{phase}_seconds"] = round(
+            statistics.median(seconds for seconds, _, _ in runs), 3)
+        report[f"{phase}_scaled_seconds"] = round(
+            statistics.median(scaled for _, scaled, _ in runs), 3)
+    report["cold_rss_peak_mb"] = round(
+        statistics.median(rss for _, _, rss in samples["cold"]) / 1024, 1)
+    report["cold_trace_bytes"] = trace_bytes
+    return report
 
 
 def _speedups(current: dict, baseline: dict) -> dict:
-    """Baseline-over-current ratios for the headline numbers."""
+    """Baseline-over-current ratios for the headline numbers (scaled)."""
     out = {}
     try:
         out["functional_insts_per_sec"] = round(
-            current["functional_trace"]["insts_per_sec"]
-            / baseline["functional_trace"]["insts_per_sec"], 2,
+            current["functional_trace"]["scaled_insts_per_sec"]
+            / baseline["functional_trace"]["scaled_insts_per_sec"], 2,
         )
         out["timing_insts_per_sec"] = round(
-            current["timing"]["insts_per_sec"]
-            / baseline["timing"]["insts_per_sec"], 2,
+            current["timing"]["scaled_insts_per_sec"]
+            / baseline["timing"]["scaled_insts_per_sec"], 2,
         )
     except (KeyError, ZeroDivisionError):
         pass
     try:
         out["run_all_cold"] = round(
-            baseline["run_all"]["cold_seconds"]
-            / current["run_all"]["cold_seconds"], 2,
+            baseline["run_all"]["cold_scaled_seconds"]
+            / current["run_all"]["cold_scaled_seconds"], 2,
         )
         out["run_all_warm"] = round(
-            baseline["run_all"]["warm_seconds"]
-            / current["run_all"]["warm_seconds"], 2,
+            baseline["run_all"]["warm_scaled_seconds"]
+            / current["run_all"]["warm_scaled_seconds"], 2,
         )
     except (KeyError, ZeroDivisionError):
         pass
@@ -267,8 +319,8 @@ def main(argv=None) -> int:
         engine=lambda *args, **kwargs: FunctionalSimulator(*args, **kwargs).run(),
     )
     metrics["functional_oracle"]["engine_over_oracle"] = round(
-        metrics["functional_trace"]["insts_per_sec"]
-        / metrics["functional_oracle"]["insts_per_sec"], 1
+        metrics["functional_trace"]["scaled_insts_per_sec"]
+        / metrics["functional_oracle"]["scaled_insts_per_sec"], 1
     )
     print("benchmarking out-of-order timing core...", flush=True)
     metrics["timing"] = bench_timing(simulate)
@@ -277,8 +329,8 @@ def main(argv=None) -> int:
         lambda config, trace: OutOfOrderCore(config, trace).run()
     )
     metrics["timing_oracle"]["kernel_over_oracle"] = round(
-        metrics["timing"]["insts_per_sec"]
-        / metrics["timing_oracle"]["insts_per_sec"], 1
+        metrics["timing"]["scaled_insts_per_sec"]
+        / metrics["timing_oracle"]["scaled_insts_per_sec"], 1
     )
     if not args.skip_run_all:
         print(f"benchmarking run-all ({args.profile}, cold+warm)...", flush=True)

@@ -58,6 +58,8 @@ DESIGN_REQUIRED = (
     # golden key digest.
     "renderer table",
     "golden key digest",
+    # A trace leaves the memo after its last timed reader.
+    "last reader",
     # No package __init__ imports a submodule; the runner imports its
     # compute functions at call time.
     "imports on first use",

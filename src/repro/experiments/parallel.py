@@ -29,6 +29,7 @@ worker.
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -120,6 +121,11 @@ def execute(
     ``report.executed`` counts the cells actually executed (after
     skip/dedup) — the service dispatcher reports it as its batching
     effectiveness.
+
+    In-process, a trace leaves the memo once its last pending timed
+    reader has resolved (:meth:`ExperimentContext.release_trace`, a
+    no-op without a disk cache), unless ``jobs`` lists the trace
+    itself: assembly reads timed cells, never their traces.
     """
     pending: List[Job] = []
     seen = set()
@@ -132,8 +138,19 @@ def execute(
     if not pending:
         return ExecuteReport()
     if context.pool is None:
+        readers = Counter(filter(None, map(_trace_read_by, pending)))
+        for job in jobs:
+            if job.kind == "trace":
+                readers.pop((job.workload, job.edvi_binary, job.dvi), None)
         for job in pending:
             context.cell(job)
+            trace = _trace_read_by(job)
+            if trace in readers:
+                readers[trace] -= 1
+                if not readers[trace]:
+                    context.release_trace(
+                        job.workload, job.dvi, edvi_binary=job.edvi_binary
+                    )
         return ExecuteReport(executed=len(pending))
     # A pool exists only where its creator already imported this module.
     from repro.experiments.pool import run_contained
@@ -141,3 +158,14 @@ def execute(
     return run_contained(
         pending, context, job_timeout=job_timeout, observer=observer
     )
+
+
+def _trace_read_by(job: Job) -> Optional[tuple]:
+    """``(workload, edvi_binary, dvi)`` of the trace a timed cell replays.
+
+    All three fields hash by value, so counting readers costs no
+    fingerprint.
+    """
+    if job.kind != "timed":
+        return None
+    return (job.workload, job.edvi_binary, job.dvi)

@@ -32,7 +32,6 @@ from typing import (
 from repro.dvi.config import DVIConfig, SRScheme
 from repro.experiments.cache import ArtifactCache, fingerprint
 from repro.sim.config import MachineConfig
-from repro.sim.trace import TRACE_FORMAT, Trace
 from repro.workloads import ALL_ORDER, SAVE_RESTORE_ORDER
 
 if TYPE_CHECKING:
@@ -40,6 +39,7 @@ if TYPE_CHECKING:
     from repro.program.program import Program
     from repro.sim.ooo.stats import PipelineStats
     from repro.sim.result import FunctionalResult
+    from repro.sim.trace import Trace
 
 
 @dataclass(frozen=True)
@@ -108,7 +108,8 @@ class ExperimentProfile:
 # from their defining modules at call time: a run that replays every
 # cell from the cache never loads the builders or the simulators, and
 # a wrapper installed on those module attributes (a tracer, a test
-# double) sees every call.
+# double) sees every call.  The trace key reads TRACE_FORMAT at call
+# time too, so a run that loads no trace never imports the trace module.
 # ----------------------------------------------------------------------
 
 def _build(cell: "Job", scale: int) -> Tuple[Program, Program]:
@@ -117,6 +118,14 @@ def _build(cell: "Job", scale: int) -> Tuple[Program, Program]:
 
     plain = get_program(cell.workload, scale)
     return plain, insert_edvi(plain).program
+
+
+def _trace_key(cell: "Job", scale: int) -> tuple:
+    # TRACE_FORMAT keeps traces of different storage formats distinct
+    # cache cells even if the code version were ever held fixed.
+    from repro.sim.trace import TRACE_FORMAT
+
+    return (cell.workload, scale, cell.edvi_binary, cell.dvi, TRACE_FORMAT)
 
 
 def _trace(cell: "Job", scale: int, binaries: Tuple[Program, Program]) -> Trace:
@@ -174,11 +183,8 @@ ARTIFACT_KINDS: Dict[str, ArtifactKind] = {
     "binary": ArtifactKind(
         fields=(), key=lambda c, s: (c.workload, s), compute=_build,
     ),
-    # TRACE_FORMAT keeps traces of different storage formats distinct
-    # cache cells even if the code version were ever held fixed.
     "trace": ArtifactKind(
-        fields=("dvi", "edvi_binary"),
-        key=lambda c, s: (c.workload, s, c.edvi_binary, c.dvi, TRACE_FORMAT),
+        fields=("dvi", "edvi_binary"), key=_trace_key,
         compute=_trace, upstream=("binary",),
     ),
     "functional": ArtifactKind(
@@ -349,11 +355,28 @@ class ExperimentContext:
         layer[identity] = value
         return value
 
+    def release_trace(
+        self, workload: str, dvi: DVIConfig, *, edvi_binary: bool
+    ) -> None:
+        """Drop a trace from the memo once no pending cell reads it.
+
+        :func:`repro.experiments.parallel.execute` calls this after a
+        trace's last timed reader in its batch.  Only a context with a
+        disk cache drops it: a later reader reloads it from there, where
+        a cache-less context would have to compute it again.  A memo
+        holding no trace (a warm run) costs no fingerprint.
+        """
+        layer = self._memo["trace"]
+        if self.cache is not None and layer:
+            job = Job("trace", workload, dvi=dvi, edvi_binary=edvi_binary)
+            layer.pop(job.signature(), None)
+
     def trim_memo(self, limit: int) -> None:
         """Empty every memo layer holding more than ``limit`` artifacts.
 
-        Dropping a layer is always safe — the next lookup re-reads the
-        disk cache.  Long-lived pool workers bound their footprint so.
+        Dropping a layer costs no result: with a disk cache the next
+        lookup re-reads it, and a cache-less pool worker recomputes.
+        Long-lived pool workers bound their footprint so.
         """
         for layer in self._memo.values():
             if len(layer) > limit:

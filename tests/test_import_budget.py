@@ -24,8 +24,10 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 
 #: Modules that only computing a cell (or an oracle check) needs.
 #: Replaying a ``functional`` cell unpickles ``repro.sim.result``
-#: alone, and Figure 12 imports its scheduler only to compute.
+#: alone, Figure 12 imports its scheduler only to compute, and the
+#: trace key reads ``TRACE_FORMAT`` only when a trace is resolved.
 COMPUTE_ONLY = (
+    "repro.sim.trace",
     "repro.sim.functional",
     "repro.dvi.engine",
     "repro.threads.scheduler",
