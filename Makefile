@@ -28,8 +28,9 @@ smoke:
 	$(PYTHON) -m repro run-all --profile quick --jobs 2 --cache-dir .repro-cache --json smoke-results.json
 
 ## Warm-replay check: quick run-all cold with 2 workers, then warm and
-## serial on the same fresh cache; fails unless the manifests are
-## byte-identical and the warm run misses the cache for no kind.
+## serial twice on the same fresh cache, first without the figure
+## documents (every cell must hit), then with them (only documents are
+## read); fails unless the three manifests are byte-identical.
 smoke-replay:
 	$(PYTHON) scripts/replay_smoke.py
 

@@ -60,6 +60,8 @@ DESIGN_REQUIRED = (
     "golden key digest",
     # A trace leaves the memo after its last timed reader.
     "last reader",
+    # The CLI and the service share one rendered document per figure.
+    "figure document",
     # No package __init__ imports a submodule; the runner imports its
     # compute functions at call time.
     "imports on first use",

@@ -23,8 +23,12 @@ Usage::
 Simulation artifacts (binaries, traces, functional results, timing
 stats) are cached content-addressed under ``--cache-dir`` (default
 ``.repro-cache``), keyed by workload, profile scale, DVI and machine
-configuration, and source version — a warm re-run replays every figure
-from disk without re-simulating anything.  ``--jobs N`` fans the
+configuration, and source version.  Each figure target also stores its
+*figure document*, the rendered one-figure manifest ``repro serve``
+returns for the same figure request, and reads it first: a warm re-run
+prints every figure from its document without importing, let alone
+running, any experiment.  The experiment context, and the ``--jobs``
+pool, open on the first figure that misses.  ``--jobs N`` fans the
 experiments' independent simulation cells out over N worker processes;
 results are merged deterministically, so parallel output is identical
 to serial output.
@@ -43,22 +47,19 @@ import json
 import os
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import ExitStack, contextmanager
 
-from repro.experiments import EXPERIMENTS, fig3_characterization
+from repro.errors import CellFailedError
+from repro.experiments import DIRECTORY
 from repro.experiments.cache import ArtifactCache
-from repro.experiments.export import render_manifest
-from repro.experiments.parallel import CellFailedError
-from repro.experiments.runner import ExperimentContext, ExperimentProfile
-from repro.experiments.sweep import (
-    SWEEP_AXES,
-    adhoc_spec,
-    run_sweep,
-    sweep_title,
+from repro.experiments.export import (
+    DOCUMENT_KIND,
+    document_key,
+    figure_request,
+    render_manifest,
+    render_sections,
 )
-from repro.registry import UnknownComponentError
-from repro.sim.branch.predictors import PREDICTORS
-from repro.sim.cache.hierarchy import HIERARCHIES
+from repro.experiments.profile import ExperimentProfile
 
 
 def _add_run_options(parser: argparse.ArgumentParser) -> None:
@@ -99,12 +100,31 @@ def _check_json_path(parser: argparse.ArgumentParser, path: str) -> None:
         parser.error(f"cannot write --json file: {error}")
 
 
+def _open_cache(args):
+    """The invocation's artifact cache, or ``None`` under ``--no-cache``."""
+    return None if args.no_cache else ArtifactCache(args.cache_dir)
+
+
+def _report_cache(cache) -> None:
+    """Print the per-kind ``cache [...]`` line and fold its tallies into
+    the store's lifetime counters."""
+    if cache is None:
+        return
+    print(cache.summary(), file=sys.stderr)
+    try:
+        cache.flush_counters()
+    except OSError:
+        pass  # read-only cache dir: tallies are best-effort
+
+
 @contextmanager
-def _run_context(args):
-    """The invocation's context.  With ``--jobs N`` > 1 the invocation
-    owns one worker pool for all its experiments and closes it on exit."""
+def _run_context(args, cache):
+    """The invocation's context over ``cache``.  With ``--jobs N`` > 1
+    the invocation owns one worker pool for all its experiments and
+    closes it on exit."""
+    from repro.experiments.runner import ExperimentContext
+
     profile = ExperimentProfile.by_name(args.profile)
-    cache = None if args.no_cache else ArtifactCache(args.cache_dir)
     if args.jobs == 1:
         yield ExperimentContext(profile, cache=cache)
         return
@@ -188,17 +208,21 @@ def _print_components(args) -> None:
             for w in WORKLOADS.all()
         ]))
     if args.predictors:
+        from repro.sim.branch.predictors import PREDICTORS
+
         sections.append(("predictors", [
             (spec.name, spec.description) for spec in PREDICTORS.all()
         ]))
     if args.hierarchies:
+        from repro.sim.cache.hierarchy import HIERARCHIES
+
         sections.append(("hierarchies", [
             (spec.name, spec.description) for spec in HIERARCHIES.all()
         ]))
     if not sections:
         sections.append(("experiments", [
             (name, description)
-            for name, (_, description) in EXPERIMENTS.items()
+            for name, (_, description) in DIRECTORY.items()
         ]))
     for index, (heading, rows) in enumerate(sections):
         if len(sections) > 1:
@@ -211,6 +235,14 @@ def _print_components(args) -> None:
 
 
 def _sweep_main(argv) -> int:
+    from repro.experiments.sweep import (
+        SWEEP_AXES,
+        adhoc_spec,
+        run_sweep,
+        sweep_title,
+    )
+    from repro.registry import UnknownComponentError
+
     parser = argparse.ArgumentParser(
         prog="repro sweep",
         description="Run an ad-hoc sweep over a registered component axis.",
@@ -249,7 +281,8 @@ def _sweep_main(argv) -> int:
     except ValueError as error:  # e.g. non-integer --values for regfile
         parser.error(f"--values: {error}")
     started = time.time()
-    with _run_context(args) as context:
+    cache = _open_cache(args)
+    with _run_context(args, cache) as context:
         try:
             result = run_sweep(
                 spec, profile, context,
@@ -262,12 +295,7 @@ def _sweep_main(argv) -> int:
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
             handle.write(render_manifest(profile.name, {spec.name: result}))
-    if context.cache is not None:
-        print(context.cache.summary(), file=sys.stderr)
-        try:
-            context.cache.flush_counters()
-        except OSError:
-            pass  # read-only cache dir: tallies are best-effort
+    _report_cache(cache)
     return 0
 
 
@@ -500,6 +528,8 @@ def _serve_main(argv) -> int:
 
 
 def _submit_main(argv) -> int:
+    from repro.experiments.sweep import SWEEP_AXES
+
     parser = argparse.ArgumentParser(
         prog="repro submit",
         description="Submit a sweep or figure job to a running service "
@@ -527,7 +557,7 @@ def _submit_main(argv) -> int:
     parser.add_argument(
         "--figure", metavar="TARGET",
         help="submit a figure job instead of a sweep: %s"
-             % ", ".join(EXPERIMENTS),
+             % ", ".join(DIRECTORY),
     )
     parser.add_argument(
         "--profile", choices=ExperimentProfile.names(), default="quick",
@@ -956,7 +986,7 @@ def _main(argv) -> int:
              "'queue' (job-queue compaction/stats), or 'cache' "
              "(artifact-store stats/gc); each subcommand has its own "
              "--help"
-             % ", ".join(EXPERIMENTS),
+             % ", ".join(DIRECTORY),
     )
     _add_run_options(parser)
 
@@ -965,6 +995,8 @@ def _main(argv) -> int:
     # parser would, so option-first orderings keep working.
     target = _target_of(argv)
     if target in _SUBCOMMANDS:
+        from repro.registry import UnknownComponentError
+
         rest = list(argv)
         rest.remove(target)
         try:
@@ -978,42 +1010,74 @@ def _main(argv) -> int:
         parser.error("--jobs must be >= 1")
 
     if args.target == "machine":
+        from repro.experiments import fig3_characterization
+
         print(fig3_characterization.machine_description())
         return 0
 
     run_all = args.target in ("all", "run-all")
-    targets = list(EXPERIMENTS) if run_all else [args.target]
-    unknown = [t for t in targets if t not in EXPERIMENTS]
+    targets = list(DIRECTORY) if run_all else [args.target]
+    unknown = [t for t in targets if t not in DIRECTORY]
     if unknown:
         parser.error(
             "unknown target(s): %s; valid targets: %s, run-all, list, "
             "machine, sweep"
-            % (", ".join(unknown), ", ".join(EXPERIMENTS))
+            % (", ".join(unknown), ", ".join(DIRECTORY))
         )
     if args.json:
         _check_json_path(parser, args.json)
+    return _run_figures(args, targets)
 
-    results = {}
-    with _run_context(args) as context:
-        profile = context.profile
+
+def _run_figures(args, targets) -> int:
+    """Print each target's figure and write the ``--json`` manifest.
+
+    Each figure comes from its figure document: read from the cache,
+    or, on a miss, rendered from a fresh run of the experiment and
+    stored for the next run (and for the service, which serves the same
+    document).  The experiment context, and any ``--jobs`` pool, opens
+    on the first miss, over this invocation's cache, so a warm run
+    imports no experiment and the ``cache [...]`` line counts documents
+    and cells together.
+    """
+    cache = _open_cache(args)
+    sections = {}
+    with ExitStack() as stack:
+        context = None
         for name in targets:
-            module, description = EXPERIMENTS[name]
             started = time.time()
-            result = module.run(profile, context)
-            results[name] = result
-            print(result.format_table())
-            print(f"[{name}: {description}; {time.time() - started:.1f}s]\n")
+            hit = False
+            if cache is not None:
+                # One digest serves the load and, on a miss, the store.
+                digest = cache.digest(DOCUMENT_KIND, document_key(
+                    figure_request(name, args.profile)))
+                hit, document = cache.load_digest(DOCUMENT_KIND, digest)
+            if not hit:
+                if context is None:
+                    context = stack.enter_context(_run_context(args, cache))
+                document = _render_figure(name, context)
+                if cache is not None:
+                    cache.store_digest(DOCUMENT_KIND, digest, document)
+            sections[name] = json.loads(document)["results"][name]
+            print(sections[name]["table"])
+            print(f"[{name}: {DIRECTORY[name][1]}; "
+                  f"{time.time() - started:.1f}s]\n")
 
     if args.json:
         with open(args.json, "w", encoding="utf-8") as handle:
-            handle.write(render_manifest(profile.name, results))
-    if context.cache is not None:
-        print(context.cache.summary(), file=sys.stderr)
-        try:
-            context.cache.flush_counters()
-        except OSError:
-            pass  # read-only cache dir: tallies are best-effort
+            handle.write(render_sections(args.profile, sections))
+    _report_cache(cache)
     return 0
+
+
+def _render_figure(name: str, context) -> str:
+    """Run one experiment on ``context``; return its figure document."""
+    from repro.experiments import EXPERIMENTS
+
+    # Looked up per call, not bound at import: a tracer may have
+    # wrapped the module's ``run`` in the meantime.
+    result = EXPERIMENTS[name][0].run(context.profile, context)
+    return render_manifest(context.profile.name, {name: result})
 
 
 if __name__ == "__main__":

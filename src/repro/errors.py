@@ -28,3 +28,22 @@ class DVIViolationError(SimulationError):
         super().__init__(detail)
         self.pc = pc
         self.reg = reg
+
+
+class CellFailedError(RuntimeError):
+    """Cells a caller needs produced no result; the message names them.
+
+    ``failures`` are the :class:`~repro.experiments.parallel.CellFailure`
+    records of the cells that failed.  The class lives here, not beside
+    the scheduler, so the CLI can catch it without importing the
+    experiment pipeline.
+    """
+
+    def __init__(self, failures) -> None:
+        super().__init__("; ".join(
+            f"{failure.job.kind} cell for {failure.job.workload!r} "
+            f"({failure.job.signature()[:12]}) failed: {failure.kind}: "
+            f"{failure.detail}"
+            for failure in failures
+        ))
+        self.failures = failures

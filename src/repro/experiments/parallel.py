@@ -33,6 +33,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence
 
+from repro.errors import CellFailedError
 from repro.experiments.runner import ExperimentContext, Job
 
 __all__ = [
@@ -62,19 +63,6 @@ class CellFailure:
     job: Job
     kind: str
     detail: str
-
-
-class CellFailedError(RuntimeError):
-    """Cells a caller needs produced no result; the message names them."""
-
-    def __init__(self, failures: List[CellFailure]) -> None:
-        super().__init__("; ".join(
-            f"{failure.job.kind} cell for {failure.job.workload!r} "
-            f"({failure.job.signature()[:12]}) failed: {failure.kind}: "
-            f"{failure.detail}"
-            for failure in failures
-        ))
-        self.failures = failures
 
 
 @dataclass

@@ -43,9 +43,14 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
-from repro.experiments import EXPERIMENTS
+from repro.experiments import DIRECTORY
 from repro.experiments.cache import ArtifactCache, CacheCounters, fingerprint
-from repro.experiments.export import render_manifest
+from repro.experiments.export import (
+    DOCUMENT_KIND,
+    document_key,
+    figure_request,
+    render_manifest,
+)
 from repro.experiments.parallel import Job, execute
 from repro.experiments.runner import ExperimentContext, ExperimentProfile
 from repro.experiments.sweep import (
@@ -77,9 +82,6 @@ __all__ = [
     "request_digest",
     "sweep_title",
 ]
-
-#: Artifact kind under which rendered job results are stored.
-RESULT_KIND = "service"
 
 #: Default POST body cap (the server's transport-level admission bound).
 DEFAULT_MAX_BODY_BYTES = 1 << 20
@@ -137,12 +139,12 @@ def normalize_request(payload: dict) -> dict:
 
     if kind == "figure":
         target = payload.get("target")
-        if not isinstance(target, str) or target not in EXPERIMENTS:
+        if not isinstance(target, str) or target not in DIRECTORY:
             raise RequestError(
                 f"unknown figure target {target!r}; valid targets: "
-                + ", ".join(EXPERIMENTS)
+                + ", ".join(DIRECTORY)
             )
-        return {"kind": "figure", "target": target, "profile": profile.name}
+        return figure_request(target, profile.name)
 
     if kind != "sweep":
         raise RequestError(
@@ -186,11 +188,6 @@ def normalize_request(payload: dict) -> dict:
         "workloads": resolved_workloads,
         "profile": profile.name,
     }
-
-
-def _result_key(request: dict) -> tuple:
-    """The artifact-cache key tuple a request's rendered result lives under."""
-    return (request,)
 
 
 def request_digest(request: dict) -> str:
@@ -408,14 +405,14 @@ class Dispatcher:
                 != self.shard_urls[self.shard_index]):
             with self._stats_lock:
                 self.stats.misrouted += 1
-        digest = self.cache.digest(RESULT_KIND, _result_key(request))
+        digest = self.cache.digest(DOCUMENT_KIND, document_key(request))
         # readable_digest, not the pure path probe: a torn artifact is
         # healed (unlinked + counted) and the job recomputed instead of
         # instant-completing onto a result_key every GET will 500 on.
         # On a tiered cache this also walks the shared tier and — for a
         # cold key on a non-owner shard — asks peers, which is exactly
         # how shard B instant-completes from shard A's work.
-        cached = self.cache.readable_digest(RESULT_KIND, digest)
+        cached = self.cache.readable_digest(DOCUMENT_KIND, digest)
         if not cached:
             # While the breaker is open, new *work* is refused (503 +
             # Retry-After); cache-backed requests still sail — they cost
@@ -430,10 +427,13 @@ class Dispatcher:
                     retry_after=int(math.ceil(open_for)),
                 )
         try:
+            # A cached request is submitted and completed in one step
+            # (queued -> cache_hit -> done): a drain running on the
+            # executor thread can never claim it in between.
             job, created = self.queue.submit(
                 request, client,
                 quota=self.quota, max_depth=self.max_queue_depth,
-                exempt=cached,
+                result_key=digest if cached else None,
             )
         except QuotaExceededError:
             with self._stats_lock:
@@ -449,24 +449,12 @@ class Dispatcher:
             if (job.state is JobState.DONE
                     and not (job.result_key
                              and self.cache.readable_digest(
-                                 RESULT_KIND, job.result_key))):
+                                 DOCUMENT_KIND, job.result_key))):
                 job = self.queue.requeue_lost(job.id)
             return job
         if cached:
-            try:
-                # Short-circuit span: queued -> cache_hit -> done, with
-                # no claim/batch/execute stages in between.
-                self.tracer.stamp(job.id, "cache_hit")
-                job = self.queue.mark_done(
-                    job.id, result_key=digest, source="cache"
-                )
-                with self._stats_lock:
-                    self.stats.jobs_from_cache += 1
-            except TransitionError:
-                # The drain thread claimed and finished this job
-                # between our queue.submit and the existence probe; its
-                # result is the same bytes, so just serve its record.
-                job = self.queue.get(job.id)
+            with self._stats_lock:
+                self.stats.jobs_from_cache += 1
         return job
 
     def reject_size(self) -> None:
@@ -495,10 +483,10 @@ class Dispatcher:
         """
         if isinstance(self.cache, TieredArtifactCache):
             hit, value = self.cache.load_digest(
-                RESULT_KIND, result_key, allow_peer=False
+                DOCUMENT_KIND, result_key, allow_peer=False
             )
         else:
-            hit, value = self.cache.load_digest(RESULT_KIND, result_key)
+            hit, value = self.cache.load_digest(DOCUMENT_KIND, result_key)
         return value if hit else None
 
     # -- execution -------------------------------------------------------
@@ -508,6 +496,8 @@ class Dispatcher:
     ) -> List[Job]:
         request = job.request
         if request["kind"] == "figure":
+            from repro.experiments import EXPERIMENTS
+
             module, _ = EXPERIMENTS[request["target"]]
             return list(module.jobs(profile))
         return _spec_for(request, profile).jobs(profile)
@@ -519,6 +509,8 @@ class Dispatcher:
         """Render one job's manifest from the warmed context (no compute)."""
         request = job.request
         if request["kind"] == "figure":
+            from repro.experiments import EXPERIMENTS
+
             target = request["target"]
             module, _ = EXPERIMENTS[target]
             result = module.run(profile, context)
@@ -550,8 +542,9 @@ class Dispatcher:
                     job.id, lease_seconds=self.lease_seconds
                 )
             except TransitionError:
-                # The submit thread instant-completed this job from
-                # the cache after the fair drain picked it.
+                # Another thread moved the job on after the fair drain
+                # picked it (a cached submission never reaches here:
+                # the queue completes it inside its submit).
                 continue
             claimed.append(job)
         return claimed
@@ -679,7 +672,7 @@ class Dispatcher:
             try:
                 rendered = self._assemble(job, profile, context)
                 digest = self.cache.store(
-                    RESULT_KIND, _result_key(job.request), rendered
+                    DOCUMENT_KIND, document_key(job.request), rendered
                 )
                 self.tracer.stamp(job.id, "assembled")
                 self._finish(job, result_key=digest)
@@ -807,10 +800,10 @@ class Dispatcher:
                 error: str = None) -> None:
         """Complete or fail a job, tolerating completion races.
 
-        A submit-thread instant-cache hit can finish a job between this
-        batch's ``mark_running`` and here; the resulting
-        :class:`TransitionError` means someone else already delivered
-        the (identical) result, which is success, not failure.
+        A job another path finished between this batch's
+        ``mark_running`` and here (a lease reclaim that retried it, for
+        one) raises :class:`TransitionError`: someone else already
+        delivered the (identical) result, which is success, not failure.
         """
         try:
             if error is None:

@@ -799,7 +799,7 @@ class JobQueue:
         *,
         quota: Optional[int] = None,
         max_depth: Optional[int] = None,
-        exempt: bool = False,
+        result_key: Optional[str] = None,
     ) -> tuple:
         """Register a request; returns ``(job, created)``.
 
@@ -814,10 +814,14 @@ class JobQueue:
         work); a *new* job is refused with :class:`QuotaExceededError`
         when ``client`` already has ``quota`` live (queued + running)
         jobs, or :class:`QueueFullError` when the queue already holds
-        ``max_depth`` live jobs.  ``exempt=True`` bypasses both bounds
-        — the dispatcher sets it for requests whose rendered result is
-        already in the artifact store, since those complete at submit
-        time without ever occupying the queue.
+        ``max_depth`` live jobs.
+
+        ``result_key`` names a rendered result already in the artifact
+        store: the new job bypasses both bounds, since it never occupies
+        the queue, and completes on the spot (``queued -> done``,
+        ``source == "cache"``, with a ``cache_hit`` span between).  Both
+        journal events are written in one hold of the lock, so no drain
+        can claim the job between them and execute it again.
         """
         digest = request_digest(request, self.version)
         with self._lock:
@@ -829,7 +833,7 @@ class JobQueue:
                     self._append(event)
                     self._apply(event)
                     return existing, False
-            if not exempt:
+            if result_key is None:
                 if (max_depth is not None
                         and self._counts[JobState.QUEUED]
                         + self._counts[JobState.RUNNING] >= max_depth):
@@ -854,7 +858,14 @@ class JobQueue:
             }
             self._append(event)
             self._apply(event)
-            return self.jobs[event["id"]], True
+            job = self.jobs[event["id"]]
+            if result_key is not None:
+                self.tracer.stamp(job.id, "cache_hit")
+                self._transition(
+                    job.id, JobState.DONE, result_key=result_key,
+                    source="cache",
+                )
+            return job, True
 
     # -- transitions -----------------------------------------------------
 

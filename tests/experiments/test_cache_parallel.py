@@ -233,12 +233,31 @@ class TestParallelEqualsSerial:
         assert json.dumps(to_jsonable(parallel)) == \
             json.dumps(to_jsonable(serial))
 
-    def test_cli_json_byte_identical(self, tmp_path):
+    def test_cli_json_byte_identical(self, tmp_path, monkeypatch, capsys):
+        """Each run gets its own cache: on a shared one the ``--jobs 2``
+        run would replay the serial run's figure document and never
+        reach the pool."""
+        import repro.experiments.pool as pool_module
+
+        opened = []
+
+        class CountingPool(WarmPool):
+            def __enter__(self):
+                opened.append(self)
+                return super().__enter__()
+
+        monkeypatch.setattr(pool_module, "WarmPool", CountingPool)
         serial_path, parallel_path = tmp_path / "s.json", tmp_path / "p.json"
-        common = ["fig9", "--profile", "tiny", "--cache-dir",
-                  str(tmp_path / "cache")]
-        assert main(common + ["--jobs", "1", "--json", str(serial_path)]) == 0
-        assert main(common + ["--jobs", "2", "--json", str(parallel_path)]) == 0
+        for jobs, path in (("1", serial_path), ("2", parallel_path)):
+            assert main([
+                "fig9", "--profile", "tiny", "--jobs", jobs,
+                "--cache-dir", str(tmp_path / f"cache-{jobs}"),
+                "--json", str(path),
+            ]) == 0
+            assert "service: 0 hit / 1 miss / 1 stored" in \
+                capsys.readouterr().err
+        # The parallel run spawned its workers: its cells ran there.
+        assert len(opened) == 1 and opened[0].warmup_seconds > 0
         assert serial_path.read_bytes() == parallel_path.read_bytes()
 
     def test_execute_merges_worker_results(self):

@@ -15,7 +15,7 @@ from pathlib import Path
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS
+from repro.experiments import EXPERIMENTS
 from repro.experiments.export import render_manifest
 from repro.experiments.runner import ExperimentContext, ExperimentProfile
 

@@ -29,6 +29,7 @@ from repro.service.dispatcher import DEFAULT_MAX_BODY_BYTES
 from repro.service.queue import (
     AdmissionError,
     JobQueue,
+    JobState,
     QueueFullError,
     QuotaExceededError,
 )
@@ -144,11 +145,15 @@ class TestQueueDepth:
     def test_exempt_bypasses_both_bounds(self, tmp_path):
         queue = JobQueue(tmp_path / "q")
         queue.submit(_request(1), "a", quota=1, max_depth=1)
-        # At quota AND at depth: the exempt (cache-backed) path sails.
-        _job, created = queue.submit(
-            _request(2), "a", quota=1, max_depth=1, exempt=True
+        # At quota AND at depth: a cache-backed submission sails, and
+        # completes without taking a live slot.
+        job, created = queue.submit(
+            _request(2), "a", quota=1, max_depth=1, result_key="ab" * 32
         )
         assert created
+        assert job.state is JobState.DONE and job.source == "cache"
+        assert queue.depth() == 1
+        assert queue.client_inflight("a") == 1
         queue.close()
 
     def test_refusal_leaves_no_trace(self, tmp_path):

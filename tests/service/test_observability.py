@@ -32,7 +32,9 @@ from repro.service.client import (
     submit_job,
     poll_job,
 )
+from repro.service.dispatcher import Dispatcher
 from repro.service.metrics import _GAUGE_KEYS, parse_prometheus
+from repro.service.queue import JobQueue, JobState
 from repro.service.server import ServerThread
 
 PAYLOAD = {
@@ -136,6 +138,41 @@ class TestTrace:
         stages = [span["stage"] for span in record["trace"]["spans"]]
         assert "cache_hit" in stages
         assert "executed" not in stages
+
+    def test_cache_hit_submit_leaves_nothing_to_claim(self, tmp_path):
+        """A cached resubmission is queued and completed in one step.
+
+        The drain thread may run between any two journal writes of the
+        submit path.  Here it runs the moment ``queue.submit`` returns,
+        and still finds nothing to claim: the job reads queued ->
+        cache_hit -> done, from the cache, and no cell runs again.
+        """
+        queue = JobQueue(tmp_path / "queue")
+        dispatcher = Dispatcher(queue, tmp_path / "cache")
+        first = dispatcher.submit(dict(PAYLOAD), "warm")
+        while dispatcher.drain_once():
+            pass
+        assert queue.get(first.id).state is JobState.DONE
+        queue.compact(retain_terminal=0)
+        executed = dispatcher.stats.cells_executed
+        submit = queue.submit
+
+        def submit_then_drain(*args, **kwargs):
+            submitted = submit(*args, **kwargs)
+            dispatcher.drain_once()
+            return submitted
+
+        queue.submit = submit_then_drain
+        second = dispatcher.submit(dict(PAYLOAD), "warm")
+        assert second.id != first.id
+        assert (second.state, second.source) == (JobState.DONE, "cache")
+        spans = dispatcher.tracer.trace(second.id)["spans"]
+        assert [span["stage"] for span in spans] == [
+            "queued", "cache_hit", "done",
+        ]
+        assert dispatcher.stats.cells_executed == executed
+        assert dispatcher.stats.jobs_from_cache == 1
+        queue.close()
 
     def test_record_without_trace_param_has_no_trace(self, service):
         receipt = submit_job(service.url, PAYLOAD, client="plain")

@@ -5,7 +5,7 @@ from array import array
 
 import pytest
 
-from repro.__main__ import EXPERIMENTS
+from repro.experiments import EXPERIMENTS
 from repro.dvi.config import DVIConfig, SRScheme
 from repro.errors import SimulationError
 from repro.experiments.cache import ArtifactCache
